@@ -103,12 +103,26 @@ AdaptedPlan adapt_plan(const graph::Graph& topology,
                        const CongestionMap& congestion,
                        const ControllerConfig& ctrl = {});
 
-/// End-to-end outcome of one adaptive Allreduce.
-struct AdaptiveResult {
-  AdaptedPlan plan;
+/// The control loop's measure-and-plan half: what one probe of the live
+/// network measured and the plan adapted from it.
+struct Adaptation {
   /// The probe window's raw measurement.
   simnet::SimResult probe;
   CongestionMap congestion;
+  AdaptedPlan plan;
+};
+
+/// The probe -> CongestionMap -> adapt_plan sequence every adaptive caller
+/// shares: a `ctrl.probe_elements` static collective through the live
+/// traffic (serial and recorder-free, so it neither races the caller's
+/// shards nor perturbs the caller's artifacts), then adapt_plan.
+Adaptation adapt(const graph::Graph& topology,
+                 const std::vector<trees::SpanningTree>& trees,
+                 const simnet::SimConfig& config,
+                 const ControllerConfig& ctrl = {});
+
+/// End-to-end outcome of one adaptive Allreduce.
+struct AdaptiveResult : Adaptation {
   /// The adapted run: re-planned trees, congestion-aware split.
   collectives::InNetworkResult adaptive;
   /// The static baseline (original trees, Theorem 5.1 split), executed
@@ -117,11 +131,9 @@ struct AdaptiveResult {
   bool compared = false;
 };
 
-/// The full control loop (docs/congestion_adaptation.md): run a short
-/// probe collective through the live background traffic (serial, no
-/// recorder — the probe must not perturb the caller's artifacts), read
-/// the per-link measurements, adapt the plan, then run the m-element
-/// collective on the adapted plan under `config`. With
+/// The full control loop (docs/congestion_adaptation.md): adapt() the plan
+/// to a probe of the live network, then run the m-element collective on
+/// the adapted plan under `config`. With
 /// `compare_static` the original static plan runs too, under identical
 /// traffic, so callers (and the bench) can report the adaptation win.
 AdaptiveResult run_adaptive_allreduce(

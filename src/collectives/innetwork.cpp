@@ -40,27 +40,36 @@ trees::SpanningTree bfs_tree(const graph::Graph& g, int root) {
   return trees::SpanningTree(root, std::move(parent));
 }
 
-InNetworkResult run_innetwork_allreduce(
+namespace {
+
+/// The one body behind both entry points: runs Algorithm 1 once, splits by
+/// `policy` unless the caller supplied `split`, and simulates.
+InNetworkResult run_split(
     const graph::Graph& topology,
     const std::vector<trees::SpanningTree>& spanning_trees, long long m,
-    const simnet::SimConfig& config, SplitPolicy policy) {
+    const std::vector<long long>* split, const simnet::SimConfig& config,
+    SplitPolicy policy) {
   if (spanning_trees.empty()) {
     throw std::invalid_argument("run_innetwork_allreduce: no trees");
   }
   PFAR_REQUIRE(m >= 0, m);
   InNetworkResult out;
-  out.m = m;
   out.predicted = model::compute_tree_bandwidths(
       topology, spanning_trees, static_cast<double>(config.link_bandwidth));
-  for (const auto& t : spanning_trees) {
-    out.max_depth = std::max(out.max_depth, t.depth());
-  }
-
-  if (policy == SplitPolicy::kOptimal) {
+  if (split != nullptr) {
+    out.split = *split;
+  } else if (policy == SplitPolicy::kOptimal) {
     out.split = model::optimal_split(m, out.predicted);
   } else {
     out.split = util::apportion(
         m, std::vector<double>(spanning_trees.size(), 1.0));
+  }
+  for (long long s : out.split) {
+    PFAR_REQUIRE(s >= 0, s);
+    out.m += s;
+  }
+  for (const auto& t : spanning_trees) {
+    out.max_depth = std::max(out.max_depth, t.depth());
   }
 
   simnet::AllreduceSimulator sim(topology, to_embeddings(spanning_trees),
@@ -71,32 +80,23 @@ InNetworkResult run_innetwork_allreduce(
   return out;
 }
 
+}  // namespace
+
+InNetworkResult run_innetwork_allreduce(
+    const graph::Graph& topology,
+    const std::vector<trees::SpanningTree>& spanning_trees, long long m,
+    const simnet::SimConfig& config, SplitPolicy policy) {
+  return run_split(topology, spanning_trees, m, nullptr, config, policy);
+}
+
 InNetworkResult run_innetwork_allreduce_split(
     const graph::Graph& topology,
     const std::vector<trees::SpanningTree>& spanning_trees,
     const std::vector<long long>& split, const simnet::SimConfig& config) {
-  if (spanning_trees.empty()) {
-    throw std::invalid_argument("run_innetwork_allreduce_split: no trees");
-  }
   PFAR_REQUIRE(split.size() == spanning_trees.size(), split.size(),
                spanning_trees.size());
-  for (long long s : split) PFAR_REQUIRE(s >= 0, s);
-
-  InNetworkResult out;
-  out.split = split;
-  for (long long s : split) out.m += s;
-  out.predicted = model::compute_tree_bandwidths(
-      topology, spanning_trees, static_cast<double>(config.link_bandwidth));
-  for (const auto& t : spanning_trees) {
-    out.max_depth = std::max(out.max_depth, t.depth());
-  }
-
-  simnet::AllreduceSimulator sim(topology, to_embeddings(spanning_trees),
-                                 config);
-  out.sim = sim.run(out.split);
-  out.efficiency_vs_model =
-      out.sim.aggregate_bandwidth / out.predicted.aggregate;
-  return out;
+  return run_split(topology, spanning_trees, 0, &split, config,
+                   SplitPolicy::kOptimal);
 }
 
 }  // namespace pfar::collectives

@@ -9,7 +9,6 @@
 
 #include "collectives/innetwork.hpp"
 #include "core/resilience.hpp"
-#include "model/congestion_model.hpp"
 #include "obsv/recorder.hpp"
 #include "util/contracts.hpp"
 
@@ -113,11 +112,6 @@ RecoveryStats run_resilient_allreduce(const graph::Graph& topology,
 
   const int max_attempts = 1 + resilience.max_retries;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    const model::TreeBandwidths bw = model::compute_tree_bandwidths(
-        *cur_topology, cur_trees,
-        static_cast<double>(config.link_bandwidth));
-    const std::vector<long long> split = model::optimal_split(remaining, bw);
-
     simnet::SimConfig attempt_config = config;
     attempt_config.faults = shift_script(config.faults, stats.total_cycles,
                                          *cur_topology, attempt);
@@ -126,9 +120,10 @@ RecoveryStats run_resilient_allreduce(const graph::Graph& topology,
     // timeline (cycle 0 of the attempt = total_cycles so far).
     if (rec != nullptr) rec->trace.set_time_offset(stats.total_cycles);
 
-    simnet::AllreduceSimulator sim(*cur_topology, to_embeddings(cur_trees),
-                                   attempt_config);
-    simnet::SimResult res = sim.run(split);
+    // Each attempt re-splits by the quiet Algorithm 1 of its own plan.
+    InNetworkResult run = run_innetwork_allreduce(*cur_topology, cur_trees,
+                                                  remaining, attempt_config);
+    simnet::SimResult& res = run.sim;
 
     ++stats.attempts;
     if (rec != nullptr) rec->metrics.add("recovery.attempts");
@@ -139,7 +134,7 @@ RecoveryStats run_resilient_allreduce(const graph::Graph& topology,
     log.cycles = res.cycles;
     log.trees = static_cast<int>(cur_trees.size());
     log.elements = remaining;
-    log.model_bandwidth = bw.aggregate;
+    log.model_bandwidth = run.predicted.aggregate;
     if (attempt > 0) {
       stats.chunks_replayed += remaining;
       if (rec != nullptr) {
@@ -153,7 +148,7 @@ RecoveryStats run_resilient_allreduce(const graph::Graph& topology,
     long long first_detect = -1;
     for (std::size_t t = 0; t < res.tree_failed.size(); ++t) {
       if (!res.tree_failed[t]) continue;
-      lost += split[t] - res.tree_completed[t];
+      lost += run.split[t] - res.tree_completed[t];
       if (first_detect < 0 || res.tree_fail_cycle[t] < first_detect) {
         first_detect = res.tree_fail_cycle[t];
       }
@@ -175,7 +170,7 @@ RecoveryStats run_resilient_allreduce(const graph::Graph& topology,
 
     if (lost == 0) {
       stats.recovered = true;
-      stats.degraded_aggregate_bandwidth = bw.aggregate;
+      stats.degraded_aggregate_bandwidth = run.predicted.aggregate;
       stats.final_sim = std::move(res);
       if (rec != nullptr) {
         rec->metrics.hwm("recovery.total_cycles", stats.total_cycles);

@@ -92,7 +92,8 @@ struct ServiceConfig {
   /// observability sink: the service emits job/batch/queue telemetry on
   /// the service virtual timeline; inner simulator runs always execute
   /// un-instrumented (their private timelines all start at cycle 0 and
-  /// would interleave meaninglessly in one trace).
+  /// would interleave meaninglessly in one trace). Fault scripts are
+  /// rejected by contract: lane runs have no recovery.
   simnet::SimConfig sim;
   /// Admission control: jobs arriving while this many are queued are
   /// rejected (records keep the evidence; the bench plots the drop rate

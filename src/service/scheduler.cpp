@@ -10,18 +10,16 @@ std::vector<Lane> build_lanes(const graph::Graph& topology,
                               const std::vector<trees::SpanningTree>& trees,
                               SchedulerPolicy policy) {
   PFAR_REQUIRE(!trees.empty());
-  std::vector<Lane> lanes;
+  std::vector<std::vector<int>> groups(1);
   if (policy == SchedulerPolicy::kSerial) {
-    Lane all;
     for (int t = 0; t < static_cast<int>(trees.size()); ++t) {
-      all.tree_ids.push_back(t);
+      groups[0].push_back(t);
     }
-    all.trees = trees;
-    lanes.push_back(std::move(all));
-    return lanes;
+  } else {
+    groups = simnet::link_disjoint_tree_groups(
+        topology, collectives::to_embeddings(trees));
   }
-  const auto groups = simnet::link_disjoint_tree_groups(
-      topology, collectives::to_embeddings(trees));
+  std::vector<Lane> lanes;
   lanes.reserve(groups.size());
   for (const auto& group : groups) {
     Lane lane;

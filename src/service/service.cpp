@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "collectives/bucket_schedule.hpp"
 #include "obsv/recorder.hpp"
 #include "util/contracts.hpp"
 
@@ -49,8 +48,15 @@ AllreduceService::AllreduceService(core::AllreducePlan plan,
   PFAR_REQUIRE(config_.replan_cycles >= 0, config_.replan_cycles);
   PFAR_REQUIRE(config_.replay_backoff_cycles >= 0,
                config_.replay_backoff_cycles);
+  // Lane runs have no recovery (docs/service_layer.md).
+  PFAR_REQUIRE(config_.sim.faults.empty(), config_.sim.faults.events.size(),
+               config_.sim.faults.flaky_links.size());
   lanes_ = build_lanes(plan_.topology(), plan_.trees(), config_.policy);
-  lane_state_.assign(lanes_.size(), LaneState{});
+  lane_state_.reserve(lanes_.size());
+  for (const Lane& lane : lanes_) {
+    lane_state_.emplace_back(
+        collectives::CostCache(plan_.topology(), lane.trees, config_.sim));
+  }
   // Group 0: the implicit all-nodes group.
   Group all;
   for (int v = 0; v < plan_.num_nodes(); ++v) all.members.push_back(v);
@@ -326,8 +332,8 @@ void AllreduceService::dispatch_free_lanes() {
         JobRecord& record = records_[static_cast<std::size_t>(job.job_id)];
         if (record.start_cycle < 0) record.start_cycle = clock_;
       }
-      const RunCost cost =
-          run_cost(static_cast<int>(l), b.total_elements);
+      const collectives::RunCost cost =
+          lane_state_[l].cost.cost(b.total_elements);
       values_correct_ = values_correct_ && cost.correct;
       long long charges = 0;
       if (groups_.at(b.group).needs_replan) {
@@ -366,27 +372,6 @@ void AllreduceService::dispatch_free_lanes() {
                   std::all_of(lane_state_.begin(), lane_state_.end(),
                               [](const LaneState& s) { return s.busy; }),
               queue_.size(), lane_state_.size());
-}
-
-AllreduceService::RunCost AllreduceService::run_cost(int lane,
-                                                     long long total_elements) {
-  const auto key = std::make_pair(lane, total_elements);
-  const auto hit = run_cache_.find(key);
-  if (hit != run_cache_.end()) return hit->second;
-  simnet::SimConfig run_config = config_.sim;
-  // Inner runs are un-instrumented: each starts its private timeline at
-  // cycle 0 and would interleave meaninglessly in the service trace.
-  run_config.recorder = nullptr;
-  const auto result = collectives::run_bucketed_allreduce(
-      plan_.topology(), lanes_[static_cast<std::size_t>(lane)].trees,
-      {total_elements}, run_config, collectives::BucketStrategy::kFused);
-  RunCost cost;
-  cost.cycles = result.total_cycles;
-  cost.flits = result.total_flits;
-  cost.correct = result.correct;
-  PFAR_ENSURE(cost.cycles > 0, lane, total_elements);
-  run_cache_.emplace(key, cost);
-  return cost;
 }
 
 void AllreduceService::finish_job(int job_id, long long cycle, int lane,

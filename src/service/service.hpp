@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "collectives/bucket_schedule.hpp"
 #include "core/planner.hpp"
 #include "service/batching.hpp"
 #include "service/job.hpp"
@@ -24,7 +25,7 @@ namespace pfar::service {
 /// fused sub-vector run (collectives::run_bucketed_allreduce). Each
 /// dispatched batch's duration and fabric work come from a cycle-accurate
 /// (or flow-tier) simulation of exactly that run on exactly that lane's
-/// trees, memoized by (lane, fused size).
+/// trees, memoized by fused size in the lane's collectives::CostCache.
 ///
 /// Reduction groups have dynamic membership in the HPX-5 allreduce_tree
 /// style: join() registers a leaf for future reductions; leave()
@@ -103,14 +104,11 @@ class AllreduceService {
     long long flits = 0;
   };
   struct LaneState {
+    explicit LaneState(collectives::CostCache c) : cost(std::move(c)) {}
+    collectives::CostCache cost;  // run-cost memo over the lane's trees
     long long free_at = 0;
     bool busy = false;
     Batch batch;
-  };
-  struct RunCost {
-    long long cycles = 0;
-    long long flits = 0;
-    bool correct = true;
   };
 
   void process(long long t);
@@ -119,7 +117,6 @@ class AllreduceService {
   void admit_arrivals(long long t);
   void dispatch_free_lanes();
   void interrupt_group(int group, long long t);
-  RunCost run_cost(int lane, long long total_elements);
   void finish_job(int job_id, long long cycle, int lane, int batch_jobs);
 
   core::AllreducePlan plan_;
@@ -136,7 +133,6 @@ class AllreduceService {
   std::vector<MemberEvent> member_pending_;
   std::vector<QueuedJob> queue_;          // admitted, awaiting dispatch
   std::map<int, long long> served_elements_;  // fairness ledger per tenant
-  std::map<std::pair<int, long long>, RunCost> run_cache_;
 
   // Incrementally maintained slices of ServiceStats.
   int batches_ = 0;

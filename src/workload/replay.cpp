@@ -1,15 +1,15 @@
 #include "workload/replay.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "collectives/bucket_schedule.hpp"
-#include "collectives/innetwork.hpp"
-#include "model/congestion_model.hpp"
 #include "obsv/recorder.hpp"
 #include "service/service.hpp"
 #include "util/contracts.hpp"
@@ -17,20 +17,6 @@
 
 namespace pfar::workload {
 namespace {
-
-/// Cost of reducing one bucket size, memoized: the replay issues the same
-/// bucket sizes every iteration and simulator runs are pure functions of
-/// (topology, trees, m, config).
-struct CommCost {
-  long long cycles = 0;
-  long long flits = 0;
-  long long replayed = 0;  // resilient-driver replays (faulty runs only)
-  bool correct = true;
-};
-
-long long sum_flits(const simnet::SimResult& sim) {
-  return std::accumulate(sim.link_flits.begin(), sim.link_flits.end(), 0LL);
-}
 
 /// One collective in flight: [start, finish) on some lane.
 struct CommInterval {
@@ -121,14 +107,11 @@ ReplayResult replay_training(const core::AllreducePlan& plan,
                              const ReplayConfig& config) {
   PFAR_REQUIRE(!config.trace.layers.empty(), config.trace.layers.size());
   PFAR_REQUIRE(config.trace.iterations >= 1, config.trace.iterations);
-  // Fault scripts and the adaptive controller ride the single-job pipeline
-  // (run_resilient_allreduce / src/adapt); the service backend rejects
-  // them instead of silently mis-modeling recovery inside lane runs.
-  PFAR_REQUIRE(config.mode == CommMode::kSingle || config.sim.faults.empty());
+  // The adaptive controller rides the single-job pipeline; fault scripts
+  // do too, and the service constructor itself rejects them.
   PFAR_REQUIRE(config.mode == CommMode::kSingle || !config.adaptive);
 
   const graph::Graph& topology = plan.topology();
-  const std::vector<trees::SpanningTree>& trees = plan.trees();
   ReplayResult out;
   out.buckets = bucketize(config.trace, config.min_bucket_elements);
 
@@ -155,74 +138,33 @@ ReplayResult replay_training(const core::AllreducePlan& plan,
 
   // --- Communication backends ----------------------------------------------
 
-  // kSingle: memoized per-bucket-size cost on the full tree set; under
-  // faults the resilient driver replays lost chunks, under `adaptive` the
-  // plan is probed and adapted once per epoch.
-  std::map<long long, CommCost> cost_cache;
-  std::vector<trees::SpanningTree> adapted_trees;
-  model::TreeBandwidths adapted_bw;
-  simnet::SimConfig inner = config.sim;
-  inner.recorder = nullptr;  // inner runs own private timelines
+  // kSingle: one run-cost oracle over the full tree set — or, under
+  // `adaptive`, over the plan adapted once per epoch from a probe of the
+  // live background. Under faults it runs every bucket through the
+  // resilient driver on whichever trees it holds.
+  std::optional<collectives::CostCache> oracle;
   if (config.mode == CommMode::kSingle && config.adaptive) {
-    // Probe the live background once (serial, uninstrumented — mirroring
-    // adapt::run_adaptive_allreduce) and keep the adapted plan for every
-    // bucket of the epoch.
-    simnet::SimConfig probe_config = inner;
-    probe_config.shard_threads = 1;
-    const auto probe = collectives::run_innetwork_allreduce(
-        topology, trees, config.adapt_ctrl.probe_elements, probe_config);
-    const auto congestion = adapt::CongestionMap::from_sim_result(
-        topology, probe.sim, config.sim.link_bandwidth);
-    auto adapted = adapt::adapt_plan(topology, trees, congestion,
-                                     config.adapt_ctrl);
-    out.probe_cycles = probe.sim.cycles;
-    out.total_flits += sum_flits(probe.sim);
-    adapted_trees = std::move(adapted.trees);
-    adapted_bw = std::move(adapted.bandwidths);
+    adapt::Adaptation adapted =
+        adapt::adapt(topology, plan.trees(), config.sim, config.adapt_ctrl);
+    out.probe_cycles = adapted.probe.cycles;
+    out.total_flits += std::accumulate(adapted.probe.link_flits.begin(),
+                                       adapted.probe.link_flits.end(), 0LL);
     if constexpr (obsv::kTraceCompiled) {
       if (recorder != nullptr) {
         recorder->metrics.add("workload.probe_cycles", out.probe_cycles);
         recorder->trace.instant(
             0, recorder->trace.intern("workload adapt"), obsv::kTrackWorkload,
-            {"hot_links", static_cast<long long>(adapted.hot_links.size())},
-            {"replanned", static_cast<long long>(adapted.replanned.size())});
+            {"hot_links",
+             static_cast<long long>(adapted.plan.hot_links.size())},
+            {"replanned",
+             static_cast<long long>(adapted.plan.replanned.size())});
       }
     }
+    oracle.emplace(topology, std::move(adapted.plan.trees), config.sim,
+                   config.resilience, std::move(adapted.plan.bandwidths));
+  } else if (config.mode == CommMode::kSingle) {
+    oracle.emplace(topology, plan.trees(), config.sim, config.resilience);
   }
-  const auto single_cost = [&](long long elements) {
-    const auto hit = cost_cache.find(elements);
-    if (hit != cost_cache.end()) return hit->second;
-    CommCost cost;
-    if (elements == 0) {
-      cost_cache.emplace(elements, cost);
-      return cost;
-    }
-    if (!config.sim.faults.empty()) {
-      const auto recovery = collectives::run_resilient_allreduce(
-          topology, trees, elements, inner, config.resilience);
-      cost.cycles = recovery.total_cycles;
-      cost.flits = sum_flits(recovery.final_sim);
-      cost.replayed = recovery.chunks_replayed;
-      cost.correct = recovery.recovered && recovery.values_correct;
-    } else if (config.adaptive) {
-      const auto run = collectives::run_innetwork_allreduce_split(
-          topology, adapted_trees, model::optimal_split(elements, adapted_bw),
-          inner);
-      cost.cycles = run.sim.cycles;
-      cost.flits = sum_flits(run.sim);
-      cost.correct = run.sim.values_correct;
-    } else {
-      const auto run = collectives::run_bucketed_allreduce(
-          topology, trees, {elements}, inner,
-          collectives::BucketStrategy::kFused);
-      cost.cycles = run.total_cycles;
-      cost.flits = run.total_flits;
-      cost.correct = run.correct;
-    }
-    PFAR_ENSURE(cost.cycles > 0 && cost.flits >= 0, cost.cycles, cost.flits);
-    cost_cache.emplace(elements, cost);
-    return cost;
-  };
 
   // kService: one persistent service whose virtual clock IS the training
   // timeline; buckets become jobs with arrival = release cycle.
@@ -246,6 +188,10 @@ ReplayResult replay_training(const core::AllreducePlan& plan,
     iter.start = clock;
     iter.compute_done = clock + compute_total;
     std::vector<CommInterval> intervals;
+    const auto release = [&](const Bucket& bucket) {
+      return config.overlap ? iter.start + scale(bucket.ready_offset)
+                            : iter.compute_done;
+    };
 
     if (config.mode == CommMode::kService) {
       std::vector<int> job_ids;
@@ -253,40 +199,31 @@ ReplayResult replay_training(const core::AllreducePlan& plan,
       for (const Bucket& bucket : out.buckets) {
         service::JobSpec spec;
         spec.elements = bucket.elements;
-        spec.arrival_cycle = config.overlap
-                                 ? iter.start + scale(bucket.ready_offset)
-                                 : iter.compute_done;
+        spec.arrival_cycle = release(bucket);
         job_ids.push_back(svc->submit(spec));
       }
       svc->drain();
       // One interval per distinct dispatched batch (coalesced jobs share
       // one (lane, start, finish) triple and must not double-count).
-      std::vector<std::pair<std::pair<int, long long>, long long>> batches;
+      std::set<std::tuple<int, long long, long long>> batches;
       for (int id : job_ids) {
         const service::JobRecord& record =
             svc->records()[static_cast<std::size_t>(id)];
         PFAR_ENSURE(record.completed && !record.rejected, id);
         iter.comm_done = std::max(iter.comm_done, record.finish_cycle);
         if (record.lane < 0) continue;  // degenerate: no fabric touched
-        batches.push_back({{record.lane, record.start_cycle},
-                           record.finish_cycle});
+        batches.insert({record.lane, record.start_cycle, record.finish_cycle});
       }
-      std::sort(batches.begin(), batches.end());
-      batches.erase(std::unique(batches.begin(), batches.end()),
-                    batches.end());
-      for (const auto& [lane_start, finish] : batches) {
-        intervals.push_back(CommInterval{lane_start.second, finish});
-        iter.comm_busy_cycles += finish - lane_start.second;
+      for (const auto& [lane, start, finish] : batches) {
+        intervals.push_back(CommInterval{start, finish});
+        iter.comm_busy_cycles += finish - start;
       }
     } else {
       lane_free = std::max(lane_free, iter.start);
       for (const Bucket& bucket : out.buckets) {
-        const long long release = config.overlap
-                                      ? iter.start + scale(bucket.ready_offset)
-                                      : iter.compute_done;
-        const CommCost cost = single_cost(bucket.elements);
+        const collectives::RunCost cost = oracle->cost(bucket.elements);
         if (cost.cycles == 0) continue;  // zero-element bucket
-        const long long start = std::max(release, lane_free);
+        const long long start = std::max(release(bucket), lane_free);
         lane_free = start + cost.cycles;
         intervals.push_back(CommInterval{start, lane_free});
         iter.comm_busy_cycles += cost.cycles;

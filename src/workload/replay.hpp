@@ -70,7 +70,8 @@ struct ReplayConfig {
   SkewSpec skew;
   /// kSingle only: probe the congested fabric once per epoch and run every
   /// bucket on the adapted plan/split (src/adapt). The probe window is
-  /// charged to the communication timeline ahead of iteration 0.
+  /// charged to the communication timeline ahead of iteration 0. Composes
+  /// with faults: the resilient driver then runs on the adapted trees.
   bool adaptive = false;
   adapt::ControllerConfig adapt_ctrl;
   /// kSingle + faults: retry/backoff knobs of the resilient driver.

@@ -4,8 +4,6 @@
 //
 // The binary path is injected by CMake as PFAR_AUDIT_BINARY.
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +14,7 @@
 
 #include "core/planner.hpp"
 #include "core/serialize.hpp"
+#include "temp_dir.hpp"
 
 namespace fs = std::filesystem;
 
@@ -24,13 +23,7 @@ namespace {
 class AuditToolTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Per-process directory: ctest runs each test case as its own process
-    // (gtest_discover_tests), and concurrent cases must not remove_all each
-    // other's files.
-    dir_ = fs::path(::testing::TempDir()) /
-           ("pfar_audit_tool_test_" + std::to_string(::getpid()));
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
+    dir_ = pfar::test_support::fresh_temp_dir("pfar_audit_tool_test");
   }
   void TearDown() override { fs::remove_all(dir_); }
 

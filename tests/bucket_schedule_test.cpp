@@ -186,5 +186,84 @@ TEST(MultiJobTest, PartitionedTreesServeTwoJobsConcurrently) {
   EXPECT_LT(r.tree_finish_cycle[5], r.tree_finish_cycle[0]);
 }
 
+// --- The run-cost oracle ----------------------------------------------------
+
+// CostCache is the memoized path the service lanes and the training replay
+// charge runs through; a one-bucket kFused run_bucketed_allreduce is the
+// independent reference it must agree with exactly, query after query.
+void expect_oracle_matches_fused_run(
+    const core::AllreducePlan& plan,
+    const std::vector<trees::SpanningTree>& trees,
+    const simnet::SimConfig& cfg) {
+  CostCache oracle(plan.topology(), trees, cfg);
+  for (const long long m : {1LL, 257LL, 3000LL}) {
+    const auto ref = run_bucketed_allreduce(plan.topology(), trees, {m}, cfg,
+                                            BucketStrategy::kFused);
+    for (int query = 0; query < 2; ++query) {  // miss, then memo hit
+      const RunCost cost = oracle.cost(m);
+      EXPECT_EQ(cost.cycles, ref.total_cycles) << m << " query " << query;
+      EXPECT_EQ(cost.flits, ref.total_flits) << m << " query " << query;
+      EXPECT_EQ(cost.correct, ref.correct) << m << " query " << query;
+      EXPECT_EQ(cost.replayed, 0) << m << " query " << query;
+    }
+    EXPECT_TRUE(ref.correct) << m;
+  }
+  const RunCost zero = oracle.cost(0);
+  EXPECT_EQ(zero.cycles, 0);
+  EXPECT_EQ(zero.flits, 0);
+  EXPECT_EQ(zero.replayed, 0);
+  EXPECT_TRUE(zero.correct);
+}
+
+TEST(CostCache, MatchesFusedRunOnFullTreeSet) {
+  const auto plan =
+      core::AllreducePlanner(7).solution(core::Solution::kEdgeDisjoint).build();
+  expect_oracle_matches_fused_run(plan, plan.trees(), simnet::SimConfig{});
+}
+
+TEST(CostCache, MatchesFusedRunOnOneLane) {
+  // One link-disjoint tree group: the trees a service lane holds.
+  const auto plan =
+      core::AllreducePlanner(7).solution(core::Solution::kEdgeDisjoint).build();
+  const auto groups = plan.link_disjoint_tree_groups();
+  ASSERT_GT(groups.size(), 1u);
+  std::vector<trees::SpanningTree> lane;
+  for (int t : groups.front()) {
+    lane.push_back(plan.trees()[static_cast<std::size_t>(t)]);
+  }
+  expect_oracle_matches_fused_run(plan, lane, simnet::SimConfig{});
+}
+
+TEST(CostCache, MatchesFusedRunUnderBackgroundTraffic) {
+  const auto plan = core::AllreducePlanner(7).build();
+  simnet::SimConfig cfg;
+  cfg.background.pattern = simnet::TrafficPattern::kPermutation;
+  cfg.background.load = 0.5;
+  cfg.background.seed = 7;
+  expect_oracle_matches_fused_run(plan, plan.trees(), cfg);
+}
+
+TEST(CostCache, FaultScriptRoutesThroughResilientDriver) {
+  const auto plan = core::AllreducePlanner(7).build();
+  const auto& parents = plan.trees()[0].parents();
+  const int leaf = parents[0] >= 0 ? 0 : 1;  // any non-root vertex
+  simnet::SimConfig cfg;
+  cfg.progress_timeout = 1500;
+  cfg.faults.events.push_back({200, leaf,
+                               parents[static_cast<std::size_t>(leaf)],
+                               simnet::FaultType::kLinkDown});
+  CostCache oracle(plan.topology(), plan.trees(), cfg);
+  const RunCost cost = oracle.cost(20000);
+  const auto ref =
+      run_resilient_allreduce(plan.topology(), plan.trees(), 20000, cfg);
+  EXPECT_EQ(cost.cycles, ref.total_cycles);
+  EXPECT_EQ(cost.replayed, ref.chunks_replayed);
+  EXPECT_GT(cost.replayed, 0);
+  EXPECT_TRUE(cost.correct);
+  const RunCost zero = oracle.cost(0);
+  EXPECT_EQ(zero.cycles, 0);
+  EXPECT_EQ(zero.replayed, 0);
+}
+
 }  // namespace
 }  // namespace pfar::collectives

@@ -7,8 +7,6 @@
 // The binary path is injected by CMake as PFAR_LINT_BINARY and the fixture
 // root as PFAR_LINT_FIXTURES.
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_dir.hpp"
+
 namespace fs = std::filesystem;
 
 namespace {
@@ -24,10 +24,7 @@ namespace {
 class LintToolTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("pfar_lint_tool_test_" + std::to_string(::getpid()));
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
+    dir_ = pfar::test_support::fresh_temp_dir("pfar_lint_tool_test");
   }
   void TearDown() override { fs::remove_all(dir_); }
 

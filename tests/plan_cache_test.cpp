@@ -16,6 +16,7 @@
 #include "core/plan_cache.hpp"
 #include "core/planner.hpp"
 #include "core/serialize.hpp"
+#include "temp_dir.hpp"
 
 namespace pfar::core {
 namespace {
@@ -63,8 +64,7 @@ std::string with_line_replaced(const std::string& text,
 class PlanCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "pfar_plan_cache_test";
-    fs::remove_all(dir_);
+    dir_ = pfar::test_support::fresh_temp_dir("pfar_plan_cache_test");
   }
   void TearDown() override { fs::remove_all(dir_); }
 

@@ -15,6 +15,7 @@
 #include "collectives/bucket_schedule.hpp"
 #include "obsv/recorder.hpp"
 #include "service/service.hpp"
+#include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -402,6 +403,22 @@ TEST(ServiceTest, RecorderCapturesServiceTelemetry) {
             stats.admitted);
   EXPECT_EQ(recorder.metrics.counter("service.batches"), stats.batches);
   EXPECT_GT(recorder.trace.size(), 0u);  // per-lane batch spans
+}
+
+TEST(ServiceTest, RejectsFaultScriptsByContract) {
+  // Lane runs would replay the script from each run's private cycle 0
+  // with no recovery; faults belong to the single-job resilient driver.
+  const auto plan = make_plan(5);
+  const auto& parents = plan.trees()[0].parents();
+  const int leaf = parents[0] >= 0 ? 0 : 1;  // any non-root vertex
+  service::ServiceConfig config;
+  config.sim.progress_timeout = 1500;
+  config.sim.faults.events.push_back(
+      {200, leaf, parents[static_cast<std::size_t>(leaf)],
+       simnet::FaultType::kLinkDown});
+  util::contracts::ScopedThrowHandler guard;
+  EXPECT_THROW(service::AllreduceService(plan, config),
+               util::contracts::ContractViolation);
 }
 
 TEST(ServiceTest, PolicyNamesRoundTrip) {

@@ -8,8 +8,9 @@
 //    the epoch without touching the fabric-side fields;
 //  * composition: fault scripts ride the resilient driver (kSingle),
 //    background traffic flows through the service lanes, the adaptive
-//    controller charges its probe window, and the service backend rejects
-//    fault scripts by contract;
+//    controller charges its probe window, faults and adaptation compose
+//    (the resilient driver runs on the adapted trees), and the service
+//    backend rejects fault scripts by contract;
 //  * observability: the replay emits the kTrackWorkload timeline and
 //    workload.* counters, and pfar_report renders the training-replay
 //    section.
@@ -21,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "adapt/controller.hpp"
+#include "collectives/resilient.hpp"
 #include "core/planner.hpp"
 #include "graph/graph.hpp"
 #include "obsv/recorder.hpp"
@@ -322,6 +325,45 @@ TEST(WorkloadReplay, AdaptiveControllerChargesProbeWindow) {
   EXPECT_EQ(res.iterations.front().start, 0);
   const auto replayed = workload::replay_training(plan, cfg);
   expect_identical(res, replayed, "adaptive replay determinism");
+}
+
+TEST(WorkloadReplay, FaultsComposeWithAdaptivePlan) {
+  // kSingle with both a fault script and `adaptive`: every bucket runs the
+  // resilient driver on the ADAPTED trees (not the original ones).
+  const auto plan = core::AllreducePlanner(7).build();
+  const long long m = 10000;
+  workload::ReplayConfig cfg;
+  cfg.trace.layers.push_back(workload::LayerSpec{1000, 2000, m});
+  cfg.trace.iterations = 1;
+  cfg.overlap = false;
+  cfg.mode = workload::CommMode::kSingle;
+  cfg.adaptive = true;
+  cfg.sim.background.pattern = simnet::TrafficPattern::kPermutation;
+  cfg.sim.background.load = 0.5;
+  cfg.sim.background.seed = 7;
+  cfg.sim.progress_timeout = 1500;
+
+  const adapt::Adaptation adapted = adapt::adapt(
+      plan.topology(), plan.trees(), cfg.sim, cfg.adapt_ctrl);
+  ASSERT_FALSE(adapted.plan.replanned.empty());
+  // Down a link of a re-planned tree, after the probe window has closed so
+  // the probe itself measures the same network.
+  const auto& parents =
+      adapted.plan.trees[static_cast<std::size_t>(adapted.plan.replanned[0])]
+          .parents();
+  const int leaf = parents[0] >= 0 ? 0 : 1;  // any non-root vertex
+  cfg.sim.faults.events.push_back(
+      {adapted.probe.cycles + 100, leaf,
+       parents[static_cast<std::size_t>(leaf)], simnet::FaultType::kLinkDown});
+
+  const auto res = workload::replay_training(plan, cfg);
+  const auto recovery = collectives::run_resilient_allreduce(
+      plan.topology(), adapted.plan.trees, m, cfg.sim, cfg.resilience);
+  EXPECT_EQ(res.probe_cycles, adapted.probe.cycles);
+  EXPECT_EQ(res.comm_busy_cycles, recovery.total_cycles);
+  EXPECT_EQ(res.replayed_elements, recovery.chunks_replayed);
+  EXPECT_GT(res.replayed_elements, 0);
+  EXPECT_TRUE(res.values_correct);
 }
 
 TEST(WorkloadReplay, ServiceModeRejectsFaultScriptsByContract) {
