@@ -178,8 +178,7 @@ struct NodeTreeState {
   std::vector<int> child_bcast_vc;
   std::vector<std::deque<Packet>> fork_stage;
   std::deque<Packet> root_queue;  // root only: reduce -> bcast turnaround
-  long long injected = 0;   // local elements consumed by the engine
-  long long delivered = 0;  // elements delivered locally
+  long long injected = 0;  // local elements consumed by the engine
 };
 
 // The VC fabric and per-(node, tree) engine state both cycle-loop engines
@@ -198,8 +197,14 @@ struct Fabric {
   std::vector<std::vector<int>> link_vcs;
   std::vector<NodeTreeState> state;
 
-  NodeTreeState& st(int node, int tree) {
-    return state[static_cast<std::size_t>(tree) * static_cast<std::size_t>(n) + static_cast<std::size_t>(node)];
+  // Index of (node, tree) in `state`, and in every per-state array.
+  std::size_t at(int node, int tree) const {
+    return static_cast<std::size_t>(tree) * static_cast<std::size_t>(n) +
+           static_cast<std::size_t>(node);
+  }
+  NodeTreeState& st(int node, int tree) { return state[at(node, tree)]; }
+  const NodeTreeState& st(int node, int tree) const {
+    return state[at(node, tree)];
   }
 };
 
@@ -294,16 +299,6 @@ Fabric build_fabric(const graph::Graph& topology,
           std::max(result.max_reductions_per_input_port, c);
     }
   }
-  result.link_flits.assign(static_cast<std::size_t>(f.num_dlinks), 0);
-  result.link_queue_hwm.assign(static_cast<std::size_t>(f.num_dlinks), 0);
-  result.link_bg_flits.assign(static_cast<std::size_t>(f.num_dlinks), 0);
-  result.tree_finish_cycle.assign(static_cast<std::size_t>(f.num_trees), 0);
-  result.tree_first_delivery.assign(static_cast<std::size_t>(f.num_trees), -1);
-  result.tree_failed.assign(static_cast<std::size_t>(f.num_trees), 0);
-  result.tree_fail_cycle.assign(static_cast<std::size_t>(f.num_trees), -1);
-  result.tree_completed.assign(static_cast<std::size_t>(f.num_trees), 0);
-  result.link_dropped_flits.assign(static_cast<std::size_t>(f.num_dlinks), 0);
-  result.values_correct = true;
   return f;
 }
 
@@ -526,138 +521,410 @@ struct SimObserver {
 #endif
 
 // ---------------------------------------------------------------------------
-// Reference engine: the original cycle-by-cycle loop. Every VC is scanned
-// for arrivals, every (node, tree) broadcast engine is visited and every
-// link arbitrated on every cycle. Kept verbatim as the oracle the
-// fast-forward engine is tested against (determinism_test).
+// Run: the per-run bookkeeping both cycle engines share. It owns the clock
+// and abort deadlines, per-tree progress and cancellation, delivery totals,
+// the fault script, each directed link's token bucket and background
+// drain, the SimResult and the observer. An engine owns only its data path
+// (buffers, reduction and broadcast engines, arbitration order) and calls
+// these helpers at the same points of the cycle, so a feature that does
+// not move packets is written once, here (docs/simulation_engine.md,
+// "Adding a simulator feature").
 // ---------------------------------------------------------------------------
-long long run_reference_loop(Fabric& f, const SimConfig& config,
-                             const std::vector<long long>& elements_per_tree,
-                             SimResult& result,
-                             std::vector<long long>& tree_remaining,
-                             long long total_target, FaultState& fault,
-                             const std::vector<long long>& bg_rates_ppm,
-                             SimObserver* obs) {
-  const int n = f.n;
-  const int num_trees = f.num_trees;
-  const Collective mode = config.collective;
-  const bool want_bcast = mode != Collective::kReduce;
-  auto& vcs = f.vcs;
-  const bool faults_active = fault.active;
-  const long long timeout = config.progress_timeout;
-  std::vector<char> tree_canceled(static_cast<std::size_t>(num_trees), 0);
-  std::vector<long long> tree_progress(static_cast<std::size_t>(num_trees), 0);
+struct Run {
+  Run(const graph::Graph& topology, const std::vector<TreeEmbedding>& trees,
+      const SimConfig& cfg, const std::vector<long long>& elements_per_tree,
+      const std::vector<int>* tree_gids = nullptr)
+      : config(cfg),
+        elements(elements_per_tree),
+        result(sized_sim_result(elements_per_tree, 2 * topology.num_edges())),
+        f(build_fabric(topology, trees, cfg, result, tree_gids)),
+        fault(prepare_faults(topology, cfg.faults)),
+        header(cfg.packet_header_flits),
+        bw(cfg.link_bandwidth),
+        token_cap(static_cast<long long>(bw) *
+                  (cfg.packet_payload + cfg.packet_header_flits)),
+        bg_pkt_flits(cfg.background.packet_flits),
+        bg_pkt_ppm(bg_pkt_flits * 1'000'000),
+        tree_progress(elements_per_tree.size(), 0),
+        tree_canceled(elements_per_tree.size(), 0),
+        delivered(f.state.size(), 0),
+        tokens(static_cast<std::size_t>(f.num_dlinks), 0) {
+    // Deliveries expected per tree: at every node for Allreduce/Broadcast,
+    // at the root only for Reduce.
+    const long long receivers =
+        cfg.collective == Collective::kReduce ? 1 : f.n;
+    for (long long m : elements) {
+      tree_remaining.push_back(m * receivers);
+      total_target += m * receivers;
+    }
+  }
 
-  const auto expected_value = [&](int tree, long long k) {
-    return mode == Collective::kBroadcast
-               ? local_value(f.roots[static_cast<std::size_t>(tree)], tree, k)
-               : sum_over_nodes(n, tree, k);
-  };
+  const SimConfig& config;
+  const std::vector<long long>& elements;  // per tree
+  SimResult result;
+  Fabric f;
+  FaultState fault;
+  SimObserver* obs = nullptr;
+  const int header;
+  const int bw;
+  const long long token_cap;
+  const long long bg_pkt_flits;
+  const long long bg_pkt_ppm;
 
-  long long delivered_total = 0;
   long long now = 0;
   long long last_progress = 0;
-  std::vector<int> rr(static_cast<std::size_t>(f.num_dlinks), 0);
-  // Token-bucket link occupancy: `tokens` flit-slots accumulate at
-  // link_bandwidth per cycle (bounded burst); a packet consumes
-  // payload + header flits and may borrow, modeling multi-cycle packets.
-  std::vector<long long> tokens(static_cast<std::size_t>(f.num_dlinks), 0);
-  const int header = config.packet_header_flits;
+  long long delivered_total = 0;
+  long long total_target = 0;
+  // True whenever this cycle changed any state besides token accumulation
+  // (which the horizon engine's idle jump replays in closed form).
+  bool progressed = false;
+  std::vector<long long> tree_remaining;  // deliveries still due per tree
+  std::vector<long long> tree_progress;   // last delivery cycle per tree
+  std::vector<char> tree_canceled;
+  std::vector<long long> delivered;  // elements per (node, tree), Fabric::at
+  // Token-bucket link occupancy: flit slots accumulate at link_bandwidth
+  // per cycle (bounded burst); a packet consumes payload + header flits
+  // and may borrow, modeling multi-cycle packets.
+  std::vector<long long> tokens;
+  // Background traffic (SimConfig::background): per directed link, a ppm
+  // accumulator gains bg_rates[dl] per serviced (up) cycle; each time it
+  // crosses a packet boundary the link drains one whole background
+  // packet's flits from its token bucket. Empty rates = quiet network =
+  // none of the background code runs (the quiet goldens pin bit-identity).
+  std::vector<long long> bg_rates;
+  std::vector<long long> bg_acc;
 
-  // Background traffic (SimConfig::background): per VC-carrying directed
-  // link, a ppm accumulator gains bg_rates_ppm[dl] per serviced (up)
-  // cycle; each time it crosses a packet boundary the link drains one
-  // whole background packet's flits from its token bucket. Zero load =
-  // empty rate vector = none of this code runs (the quiet-network goldens
-  // pin bit-identity).
-  const bool bg_active = !bg_rates_ppm.empty();
-  const long long bg_pkt_flits = config.background.packet_flits;
-  const long long bg_pkt_ppm = bg_pkt_flits * 1'000'000;
-  std::vector<long long> bg_acc(
-      bg_active ? static_cast<std::size_t>(f.num_dlinks) : 0, 0);
+  void set_background(std::vector<long long> rates) {
+    bg_acc.assign(rates.size(), 0);
+    bg_rates = std::move(rates);
+  }
 
-  const auto vc_ready = [&](const VcState& vc) -> bool {
+  bool link_up(int dlink) const { return !fault.active || fault.edge_ok(dlink); }
+
+  void progress() {
+    last_progress = now;
+    progressed = true;
+  }
+
+  // Cycle top, before anything moves: the abort deadlines; scripted fault
+  // events due now (a packet landing this very cycle is still in flight at
+  // the down instant and is lost); then per-tree loss detection — a tree
+  // with work remaining that delivered nothing for more than
+  // progress_timeout cycles is failed and canceled so the surviving trees
+  // can quiesce. Fault events and cancellations count as progress, so the
+  // idle jump never skips their effects.
+  template <class Engine>
+  void begin_cycle(Engine& eng) {
+    if (now > config.max_cycles) {
+      throw std::runtime_error("AllreduceSimulator: cycle limit exceeded");
+    }
+    if (now - last_progress > config.stall_limit) {
+      throw std::runtime_error(
+          "AllreduceSimulator: deadlock detected at cycle " +
+          std::to_string(now));
+    }
+    progressed = false;
+    while (fault.next < fault.events.size() &&
+           fault.events[fault.next].cycle <= now) {
+      const PreparedFault& ev = fault.events[fault.next++];
+      char& down = fault.edge_down[static_cast<std::size_t>(ev.edge)];
+      if (!ev.down) {
+        down = 0;
+      } else if (!down) {
+        down = 1;
+        eng.drop_edge(ev.edge);
+      }
+      PFAR_OBS(on_fault(now, ev.edge, ev.down));
+      progressed = true;
+    }
+    if (config.progress_timeout > 0) {
+      for (std::size_t t = 0; t < tree_remaining.size(); ++t) {
+        if (!tree_canceled[t] && tree_remaining[t] > 0 &&
+            now - tree_progress[t] > config.progress_timeout) {
+          cancel_tree(eng, static_cast<int>(t));
+        }
+      }
+    }
+  }
+
+  // Declares tree t failed: the detection cycle and complete element
+  // prefix go to the result, the engine retracts every queued or in-flight
+  // packet of the tree (each through retract()) and resets its VCs to
+  // empty-with-full-credits so the quiesce contracts still hold, and the
+  // tree's outstanding deliveries leave the run's target.
+  template <class Engine>
+  void cancel_tree(Engine& eng, int t) {
+    const std::size_t ti = static_cast<std::size_t>(t);
+    tree_canceled[ti] = 1;
+    result.tree_failed[ti] = 1;
+    result.tree_fail_cycle[ti] = now;
+    result.tree_finish_cycle[ti] = -1;
+    long long prefix = LLONG_MAX;
+    if (config.collective == Collective::kReduce) {
+      prefix = delivered[f.at(f.roots[ti], t)];
+    } else {
+      for (int v = 0; v < f.n; ++v) {
+        prefix = std::min(prefix, delivered[f.at(v, t)]);
+      }
+    }
+    result.tree_completed[ti] = prefix;
+    PFAR_OBS(on_cancel(t, now, prefix));
+    eng.retract_tree(t);
+    total_target -= tree_remaining[ti];
+    tree_remaining[ti] = 0;
+    progress();
+  }
+
+  // One packet of `payload` elements retracted by a tree cancellation.
+  void retract(long long payload) {
+    ++result.canceled_packets;
+    result.canceled_flits += payload + header;
+    PFAR_OBS(on_retract(payload + header));
+  }
+
+  // One packet of `payload` elements lost on directed link `dlink`: in
+  // flight at a link_down, or eaten by a flaky link.
+  void count_drop(int dlink, long long payload) {
+    const long long flits = payload + header;
+    ++result.dropped_packets;
+    result.dropped_flits += flits;
+    result.link_dropped_flits[static_cast<std::size_t>(dlink)] += flits;
+    PFAR_OBS(on_drop(dlink, flits));
+  }
+
+  // A packet landed in a receive buffer on `dlink`, now `depth` deep.
+  void record_arrival(int dlink, int depth) {
+    result.max_vc_occupancy = std::max(result.max_vc_occupancy, depth);
+    long long& hwm = result.link_queue_hwm[static_cast<std::size_t>(dlink)];
+    hwm = std::max(hwm, static_cast<long long>(depth));
+    PFAR_OBS(on_queue_depth(dlink, depth));
+    progress();
+  }
+
+  // `size` elements of tree t delivered at (node, tree) state `si`; the
+  // engine has checked their values.
+  void record_delivery(int t, std::size_t si, long long size) {
+    const std::size_t ti = static_cast<std::size_t>(t);
+    if (result.tree_first_delivery[ti] < 0) {
+      result.tree_first_delivery[ti] = now;
+    }
+    delivered[si] += size;
+    delivered_total += size;
+    tree_remaining[ti] -= size;
+    if (tree_remaining[ti] == 0) result.tree_finish_cycle[ti] = now;
+    tree_progress[ti] = now;
+    progress();
+  }
+
+  // Start of `dlink`'s arbitration: recharge its token bucket and drain
+  // due background packets. Returns false while the link is down: the
+  // bucket still recharges (it models the physical pipe) but nothing is
+  // granted, and the background accumulator freezes so service resumes at
+  // the same phase.
+  bool open_link(int dlink) {
+    const std::size_t d = static_cast<std::size_t>(dlink);
+    tokens[d] = std::min(tokens[d] + bw, token_cap);
+    if (!link_up(dlink)) return false;
+    if (!bg_rates.empty()) {
+      bg_acc[d] += bg_rates[d];
+      if (bg_acc[d] >= bg_pkt_ppm) {
+        const long long pkts = bg_acc[d] / bg_pkt_ppm;
+        bg_acc[d] -= pkts * bg_pkt_ppm;
+        tokens[d] -= pkts * bg_pkt_flits;
+        result.link_bg_flits[d] += pkts * bg_pkt_flits;
+        PFAR_OBS(on_grant(dlink, now));
+      }
+    }
+    return true;
+  }
+
+  // A packet of `payload` elements granted on `dlink`: its flits leave the
+  // token bucket and count in link_flits. Returns false if a flaky link
+  // ate it — the flits crossed but nothing lands; the engine then poisons
+  // the receiver and returns the credit normally. Called exactly once per
+  // grant: the drop decision hashes the link's grant ordinal, so both
+  // engines (which grant identical sequences) drop identical packets.
+  bool grant(int dlink, long long payload) {
+    const long long flits = payload + header;
+    tokens[static_cast<std::size_t>(dlink)] -= flits;
+    result.link_flits[static_cast<std::size_t>(dlink)] += flits;
+    PFAR_OBS(on_grant(dlink, now));
+    progress();
+    if (!fault.active || !fault.drop_now(dlink)) return true;
+    count_drop(dlink, payload);
+    return false;
+  }
+
+  // The earliest cycle after an idle one that the horizon engine's jump
+  // may not skip, given its own next landing or recharge `target`: the
+  // next scripted fault event; each live tree's timeout expiry (checked at
+  // cycle tops, so progress + timeout + 1 must be visited); the next
+  // background drain of every up, loaded link in `links` (drains mutate
+  // token buckets, so only drain-free ranges are skipped and the
+  // closed-form advance in jump_to stays exact; a down link resumes via
+  // its link_up event, itself a wake point); and the abort deadlines, so
+  // even the throwing paths report the reference engine's cycle numbers.
+  long long wake_point(long long target,
+                       const std::vector<std::int32_t>& links) const {
+    if (fault.next < fault.events.size()) {
+      target = std::min(target, fault.events[fault.next].cycle);
+    }
+    if (config.progress_timeout > 0) {
+      for (std::size_t t = 0; t < tree_remaining.size(); ++t) {
+        if (!tree_canceled[t] && tree_remaining[t] > 0) {
+          target = std::min(target,
+                            tree_progress[t] + config.progress_timeout + 1);
+        }
+      }
+    }
+    if (!bg_rates.empty()) {
+      for (const std::int32_t dl : links) {
+        const long long rate = bg_rates[static_cast<std::size_t>(dl)];
+        if (rate <= 0 || !link_up(dl)) continue;
+        // Smallest k >= 1 with acc + k * rate >= bg_pkt_ppm (acc stays
+        // below bg_pkt_ppm between drains, so need >= 1).
+        const long long need = bg_pkt_ppm - bg_acc[static_cast<std::size_t>(dl)];
+        target = std::min(target, now + (need + rate - 1) / rate);
+      }
+    }
+    target = std::min(target, last_progress + config.stall_limit + 1);
+    return std::min(target, config.max_cycles + 1);
+  }
+
+  // Moves the clock to `target` over provably idle cycles: token buckets
+  // of `links` advance in closed form (min(t + k*B, cap) is the k-fold
+  // composition of the per-cycle recharge) and the background
+  // accumulators of up links linearly (the range is drain-free).
+  void jump_to(long long target, const std::vector<std::int32_t>& links) {
+    const long long skip = target - now - 1;
+    if (skip > 0) {
+      for (const std::int32_t dl : links) {
+        const std::size_t d = static_cast<std::size_t>(dl);
+        tokens[d] = std::min(tokens[d] + skip * bw, token_cap);
+        if (!bg_rates.empty() && link_up(dl)) bg_acc[d] += skip * bg_rates[d];
+      }
+    }
+    now = target;
+  }
+};
+
+// ---------------------------------------------------------------------------
+// Reference engine: the original cycle-by-cycle data path, kept as the
+// oracle the horizon engine is tested against (determinism_test). Packets
+// are deques of vectors; every VC is scanned for arrivals, every (node,
+// tree) broadcast engine visited and every link arbitrated on every
+// cycle. It shares the run bookkeeping (Run) with the horizon engine but
+// none of its buffers or scheduling.
+// ---------------------------------------------------------------------------
+struct ReferenceEngine {
+  explicit ReferenceEngine(Run& r)
+      : run(r),
+        obs(r.obs),
+        f(r.f),
+        config(r.config),
+        rr(static_cast<std::size_t>(r.f.num_dlinks), 0) {}
+
+  Run& run;
+  SimObserver* const obs;
+  Fabric& f;
+  const SimConfig& config;
+  std::vector<int> rr;  // round-robin pointer per directed link
+
+  long long target(int tree) const {
+    return run.elements[static_cast<std::size_t>(tree)];
+  }
+
+  std::int64_t expected_value(int tree, long long k) const {
+    return config.collective == Collective::kBroadcast
+               ? local_value(f.roots[static_cast<std::size_t>(tree)], tree, k)
+               : sum_over_nodes(f.n, tree, k);
+  }
+
+  // Every child has a packet ready for the reduction engine of `s`.
+  bool inputs_ready(const NodeTreeState& s) const {
+    for (int cvc : s.child_reduce_vc) {
+      const VcState& child = f.vcs[static_cast<std::size_t>(cvc)];
+      if (child.poisoned || child.recv.empty()) return false;
+    }
+    return true;
+  }
+
+  // Side-effect-free, so the credit-stall probe may call it freely.
+  bool vc_ready(const VcState& vc) const {
     const NodeTreeState& s = f.st(vc.src, vc.tree);
     if (vc.phase == Phase::kReduce) {
-      if (s.injected >= elements_per_tree[static_cast<std::size_t>(vc.tree)]) return false;
-      for (int cvc : s.child_reduce_vc) {
-        const VcState& child = vcs[static_cast<std::size_t>(cvc)];
-        if (child.poisoned || child.recv.empty()) return false;
-      }
-      return true;
+      return s.injected < target(vc.tree) && inputs_ready(s);
     }
     return !s.fork_stage[static_cast<std::size_t>(vc.fork_index)].empty();
-  };
+  }
 
-  // Returns a consumed packet's credit to the child VC's sender. Normally
-  // the credit travels back over the link (landing after link_latency);
-  // while the link is down it cannot, so it is restored immediately —
+  // Returns a consumed packet's credit to the VC's sender. Normally the
+  // credit travels back over the link (landing after link_latency); while
+  // the link is down it cannot, so it is restored immediately —
   // conservation must hold through an outage, and a later drop_edge on
   // this link must not double-restore it.
-  const auto return_credit = [&](VcState& child) {
-    if (faults_active && !fault.edge_ok(child.dlink)) {
-      ++child.credits;
+  void return_credit(VcState& vc) {
+    if (run.link_up(vc.dlink)) {
+      vc.credit_inflight.push_back(run.now + config.link_latency);
     } else {
-      child.credit_inflight.push_back(now + config.link_latency);
+      ++vc.credits;
     }
-  };
+  }
 
-  // Assembles the next reduction packet at node `src` for tree `tree`:
-  // local chunk combined with one packet from each child. Chunk sizes are
-  // aligned across children because every stream chunks the same way.
-  const auto make_reduce_packet = [&](int src, int tree) -> Packet {
+  // The next chunk of node `src`'s local operands for tree `tree`.
+  Packet local_chunk(int src, int tree) {
     NodeTreeState& s = f.st(src, tree);
-    const long long remaining = elements_per_tree[static_cast<std::size_t>(tree)] - s.injected;
-    long long size = std::min<long long>(config.packet_payload, remaining);
-    for (int cvc : s.child_reduce_vc) {
-      if (static_cast<long long>(vcs[static_cast<std::size_t>(cvc)].recv.front().size()) != size) {
-        throw std::logic_error("reduce packet misalignment");
-      }
-    }
+    const long long size =
+        std::min<long long>(config.packet_payload, target(tree) - s.injected);
     Packet packet(static_cast<std::size_t>(size));
     for (long long i = 0; i < size; ++i) {
       packet[static_cast<std::size_t>(i)] = local_value(src, tree, s.injected + i);
     }
     s.injected += size;
+    return packet;
+  }
+
+  // The next reduction packet at node `src`: the local chunk combined with
+  // one packet from each child. Chunk sizes are aligned across children
+  // because every stream chunks the same way.
+  Packet make_reduce_packet(int src, int tree) {
+    Packet packet = local_chunk(src, tree);
+    const NodeTreeState& s = f.st(src, tree);
     for (int cvc : s.child_reduce_vc) {
-      const Packet& head = vcs[static_cast<std::size_t>(cvc)].recv.front();
-      for (long long i = 0; i < size; ++i) packet[static_cast<std::size_t>(i)] += head[static_cast<std::size_t>(i)];
-      vcs[static_cast<std::size_t>(cvc)].recv.pop_front();
-      return_credit(vcs[static_cast<std::size_t>(cvc)]);
+      VcState& child = f.vcs[static_cast<std::size_t>(cvc)];
+      const Packet& head = child.recv.front();
+      if (head.size() != packet.size()) {
+        throw std::logic_error("reduce packet misalignment");
+      }
+      for (std::size_t i = 0; i < packet.size(); ++i) packet[i] += head[i];
+      child.recv.pop_front();
+      return_credit(child);
     }
     PFAR_OBS(on_reduce_packet(
         tree,
         src == f.roots[static_cast<std::size_t>(tree)] &&
-            s.injected >= elements_per_tree[static_cast<std::size_t>(tree)],
-        now));
+            s.injected >= target(tree),
+        run.now));
     return packet;
-  };
+  }
 
-  const auto deliver = [&](int node, int tree, const Packet& packet) {
-    NodeTreeState& s = f.st(node, tree);
-    if (result.tree_first_delivery[static_cast<std::size_t>(tree)] < 0) {
-      result.tree_first_delivery[static_cast<std::size_t>(tree)] = now;
-    }
+  void deliver(int node, int tree, const Packet& packet) {
+    const std::size_t si = f.at(node, tree);
+    long long k = run.delivered[si];
     for (std::int64_t value : packet) {
-      if (value != expected_value(tree, s.delivered)) {
-        result.values_correct = false;
-      }
-      ++s.delivered;
-      ++delivered_total;
-      if (--tree_remaining[static_cast<std::size_t>(tree)] == 0) result.tree_finish_cycle[static_cast<std::size_t>(tree)] = now;
+      if (value != expected_value(tree, k++)) run.result.values_correct = false;
     }
-    last_progress = now;
-    tree_progress[static_cast<std::size_t>(tree)] = now;
-  };
+    run.record_delivery(tree, si, static_cast<long long>(packet.size()));
+  }
 
   // Kills an edge: every packet in flight on either directed half is lost
-  // (counted in dropped_*, the sender's credit reclaimed immediately, the
-  // receiving VC poisoned) and every credit in flight is restored. Credit
-  // conservation is checked across the event.
-  const auto drop_edge = [&](int eid) {
+  // (the sender's credit reclaimed immediately, the receiving VC poisoned)
+  // and every credit in flight is restored. Credit conservation is checked
+  // across the event.
+  void drop_edge(int eid) {
     for (int d : {2 * eid, 2 * eid + 1}) {
       for (int id : f.link_vcs[static_cast<std::size_t>(d)]) {
-        VcState& vc = vcs[static_cast<std::size_t>(id)];
+        VcState& vc = f.vcs[static_cast<std::size_t>(id)];
         PFAR_ENSURE(vc.credits +
                             static_cast<int>(vc.credit_inflight.size() +
                                              vc.data_inflight.size() +
@@ -666,12 +933,7 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
                     vc.tree, vc.src, vc.dst, vc.credits);
         for (const auto& [when, packet] : vc.data_inflight) {
           static_cast<void>(when);
-          ++result.dropped_packets;
-          const long long flits =
-              static_cast<long long>(packet.size()) + header;
-          result.dropped_flits += flits;
-          result.link_dropped_flits[static_cast<std::size_t>(d)] += flits;
-          PFAR_OBS(on_drop(d, flits));
+          run.count_drop(d, static_cast<long long>(packet.size()));
           ++vc.credits;
           vc.poisoned = true;
         }
@@ -683,33 +945,15 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
                     vc.tree, vc.src, vc.dst, vc.credits, vc.recv.size());
       }
     }
-  };
+  }
 
-  // Declares tree t failed: record the detection cycle and the complete
-  // element prefix, then retract every queued/in-flight packet of the tree
-  // (counted in canceled_*) and reset its VCs to empty-with-full-credits so
-  // the quiesce contracts still hold for the surviving run.
-  const auto cancel_tree = [&](int t) {
-    tree_canceled[static_cast<std::size_t>(t)] = 1;
-    result.tree_failed[static_cast<std::size_t>(t)] = 1;
-    result.tree_fail_cycle[static_cast<std::size_t>(t)] = now;
-    result.tree_finish_cycle[static_cast<std::size_t>(t)] = -1;
-    long long prefix = LLONG_MAX;
-    if (mode == Collective::kReduce) {
-      prefix = f.st(f.roots[static_cast<std::size_t>(t)], t).delivered;
-    } else {
-      for (int v = 0; v < n; ++v) {
-        prefix = std::min(prefix, f.st(v, t).delivered);
-      }
-    }
-    result.tree_completed[static_cast<std::size_t>(t)] = prefix;
-    PFAR_OBS(on_cancel(t, now, prefix));
+  // Retracts every queued or in-flight packet of canceled tree t and
+  // resets its VCs to empty-with-full-credits.
+  void retract_tree(int t) {
     const auto retract = [&](const Packet& p) {
-      ++result.canceled_packets;
-      result.canceled_flits += static_cast<long long>(p.size()) + header;
-      PFAR_OBS(on_retract(static_cast<long long>(p.size()) + header));
+      run.retract(static_cast<long long>(p.size()));
     };
-    for (auto& vc : vcs) {
+    for (auto& vc : f.vcs) {
       if (vc.tree != t) continue;
       for (const auto& p : vc.recv) retract(p);
       for (const auto& [when, p] : vc.data_inflight) {
@@ -722,7 +966,7 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
       vc.credits = config.vc_credits;
       vc.poisoned = false;
     }
-    for (int v = 0; v < n; ++v) {
+    for (int v = 0; v < f.n; ++v) {
       NodeTreeState& s = f.st(v, t);
       for (const auto& p : s.root_queue) retract(p);
       s.root_queue.clear();
@@ -731,198 +975,112 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
         stage.clear();
       }
     }
-    total_target -= tree_remaining[static_cast<std::size_t>(t)];
-    tree_remaining[static_cast<std::size_t>(t)] = 0;
-    last_progress = now;
-  };
+  }
 
-  while (delivered_total < total_target) {
-    if (now > config.max_cycles) {
-      throw std::runtime_error("AllreduceSimulator: cycle limit exceeded");
-    }
-    if (now - last_progress > config.stall_limit) {
-      throw std::runtime_error(
-          "AllreduceSimulator: deadlock detected at cycle " +
-          std::to_string(now));
-    }
-
-    // 0a. Scripted fault events scheduled for this cycle, before anything
-    // else moves (a packet landing this very cycle is still in flight at
-    // the down instant and is lost).
-    if (faults_active) {
-      while (fault.next < fault.events.size() &&
-             fault.events[fault.next].cycle <= now) {
-        const PreparedFault& ev = fault.events[fault.next++];
-        if (ev.down) {
-          if (!fault.edge_down[static_cast<std::size_t>(ev.edge)]) {
-            fault.edge_down[static_cast<std::size_t>(ev.edge)] = 1;
-            drop_edge(ev.edge);
-          }
-        } else {
-          fault.edge_down[static_cast<std::size_t>(ev.edge)] = 0;
-        }
-        PFAR_OBS(on_fault(now, ev.edge, ev.down));
-      }
-    }
-
-    // 0b. Per-tree loss detection: a tree with work remaining that has
-    // delivered nothing for more than `progress_timeout` cycles is failed
-    // and canceled so the surviving trees can quiesce.
-    if (timeout > 0) {
-      for (int t = 0; t < num_trees; ++t) {
-        if (!tree_canceled[static_cast<std::size_t>(t)] &&
-            tree_remaining[static_cast<std::size_t>(t)] > 0 &&
-            now - tree_progress[static_cast<std::size_t>(t)] > timeout) {
-          cancel_tree(t);
-        }
-      }
-    }
-
-    // 1. Arrivals: land in-flight packets and returned credits.
-    for (auto& vc : vcs) {
+  // 1. Arrivals: land in-flight packets and returned credits.
+  void arrivals() {
+    for (auto& vc : f.vcs) {
       while (!vc.data_inflight.empty() &&
-             vc.data_inflight.front().first <= now) {
+             vc.data_inflight.front().first <= run.now) {
         vc.recv.push_back(std::move(vc.data_inflight.front().second));
         vc.data_inflight.pop_front();
-        result.max_vc_occupancy = std::max(
-            result.max_vc_occupancy, static_cast<int>(vc.recv.size()));
-        result.link_queue_hwm[static_cast<std::size_t>(vc.dlink)] =
-            std::max(result.link_queue_hwm[static_cast<std::size_t>(vc.dlink)],
-                     static_cast<long long>(vc.recv.size()));
-        PFAR_OBS(on_queue_depth(vc.dlink, static_cast<int>(vc.recv.size())));
-        last_progress = now;
+        run.record_arrival(vc.dlink, static_cast<int>(vc.recv.size()));
       }
       while (!vc.credit_inflight.empty() &&
-             vc.credit_inflight.front() <= now) {
+             vc.credit_inflight.front() <= run.now) {
         vc.credit_inflight.pop_front();
         ++vc.credits;
       }
     }
+  }
 
-    // 2. Root engines. Allreduce/Reduce: final sums materialize at the
-    // root (into the turnaround queue or straight to local delivery).
-    // Broadcast: the root sources its own stream into the queue.
-    for (int t = 0; t < num_trees; ++t) {
-      if (tree_canceled[static_cast<std::size_t>(t)]) continue;
-      NodeTreeState& s = f.st(f.roots[static_cast<std::size_t>(t)], t);
+  // 2. Root engines. Allreduce/Reduce: final sums materialize at the root
+  // (into the turnaround queue or straight to local delivery). Broadcast:
+  // the root sources its own stream into the queue.
+  void root_engines() {
+    const Collective mode = config.collective;
+    for (int t = 0; t < f.num_trees; ++t) {
+      if (run.tree_canceled[static_cast<std::size_t>(t)]) continue;
+      const int root = f.roots[static_cast<std::size_t>(t)];
+      NodeTreeState& s = f.st(root, t);
       for (int fire = 0; fire < config.link_bandwidth; ++fire) {
-        if (s.injected >= elements_per_tree[static_cast<std::size_t>(t)]) break;
+        if (s.injected >= target(t)) break;
         if (mode != Collective::kReduce &&
             static_cast<int>(s.root_queue.size()) >= config.vc_credits) {
           break;
         }
-        Packet packet;
-        if (mode == Collective::kBroadcast) {
-          const long long remaining = elements_per_tree[static_cast<std::size_t>(t)] - s.injected;
-          const long long size =
-              std::min<long long>(config.packet_payload, remaining);
-          packet.resize(static_cast<std::size_t>(size));
-          for (long long i = 0; i < size; ++i) {
-            packet[static_cast<std::size_t>(i)] = local_value(f.roots[static_cast<std::size_t>(t)], t, s.injected + i);
-          }
-          s.injected += size;
-        } else {
-          bool inputs_ready = true;
-          for (int cvc : s.child_reduce_vc) {
-            const VcState& child = vcs[static_cast<std::size_t>(cvc)];
-            if (child.poisoned || child.recv.empty()) {
-              inputs_ready = false;
-              break;
-            }
-          }
-          if (!inputs_ready) break;
-          packet = make_reduce_packet(f.roots[static_cast<std::size_t>(t)], t);
-        }
+        if (mode != Collective::kBroadcast && !inputs_ready(s)) break;
+        Packet packet = mode == Collective::kBroadcast
+                            ? local_chunk(root, t)
+                            : make_reduce_packet(root, t);
         if (mode == Collective::kReduce) {
-          deliver(f.roots[static_cast<std::size_t>(t)], t, packet);
+          deliver(root, t, packet);
         } else {
           s.root_queue.push_back(std::move(packet));
         }
-        last_progress = now;
+        run.progress();
       }
     }
+  }
 
-    // 3. Broadcast replication: parent VC (or root queue) -> all fork
-    // stages + local delivery. Fork-stage room is required for all
-    // children, which bounds buffering and stays deadlock-free.
-    if (want_bcast) {
-      for (int t = 0; t < num_trees; ++t) {
-        if (tree_canceled[static_cast<std::size_t>(t)]) continue;
-        for (int v = 0; v < n; ++v) {
-          NodeTreeState& s = f.st(v, t);
-          const bool is_root = (v == f.roots[static_cast<std::size_t>(t)]);
-          if (!is_root && s.parent_bcast_vc < 0) continue;
-          for (int moves = 0; moves < config.link_bandwidth; ++moves) {
-            bool room = true;
-            for (const auto& stage : s.fork_stage) {
-              if (static_cast<int>(stage.size()) >= config.fork_buffer) {
-                room = false;
-                break;
-              }
-            }
-            if (!room) break;
-            Packet packet;
-            if (is_root) {
-              if (s.root_queue.empty()) break;
-              packet = std::move(s.root_queue.front());
-              s.root_queue.pop_front();
-            } else {
-              VcState& pvc = vcs[static_cast<std::size_t>(s.parent_bcast_vc)];
-              if (pvc.poisoned || pvc.recv.empty()) break;
-              packet = std::move(pvc.recv.front());
-              pvc.recv.pop_front();
-              return_credit(pvc);
-            }
-            deliver(v, t, packet);
-            const std::size_t forks = s.fork_stage.size();
-            for (std::size_t c = 0; c + 1 < forks; ++c) {
-              s.fork_stage[c].push_back(packet);
-            }
-            if (forks > 0) {
-              s.fork_stage[forks - 1].push_back(std::move(packet));
-            }
+  // 3. Broadcast replication: parent VC (or root queue) -> all fork
+  // stages + local delivery. Fork-stage room is required for all children,
+  // which bounds buffering and stays deadlock-free.
+  void broadcast_fork() {
+    for (int t = 0; t < f.num_trees; ++t) {
+      if (run.tree_canceled[static_cast<std::size_t>(t)]) continue;
+      for (int v = 0; v < f.n; ++v) {
+        NodeTreeState& s = f.st(v, t);
+        const bool is_root = (v == f.roots[static_cast<std::size_t>(t)]);
+        if (!is_root && s.parent_bcast_vc < 0) continue;
+        for (int moves = 0; moves < config.link_bandwidth; ++moves) {
+          const bool full = std::any_of(
+              s.fork_stage.begin(), s.fork_stage.end(), [&](const auto& stage) {
+                return static_cast<int>(stage.size()) >= config.fork_buffer;
+              });
+          if (full) break;
+          Packet packet;
+          if (is_root) {
+            if (s.root_queue.empty()) break;
+            packet = std::move(s.root_queue.front());
+            s.root_queue.pop_front();
+          } else {
+            VcState& pvc = f.vcs[static_cast<std::size_t>(s.parent_bcast_vc)];
+            if (pvc.poisoned || pvc.recv.empty()) break;
+            packet = std::move(pvc.recv.front());
+            pvc.recv.pop_front();
+            return_credit(pvc);
+          }
+          deliver(v, t, packet);
+          const std::size_t forks = s.fork_stage.size();
+          for (std::size_t c = 0; c + 1 < forks; ++c) {
+            s.fork_stage[c].push_back(packet);
+          }
+          if (forks > 0) {
+            s.fork_stage[forks - 1].push_back(std::move(packet));
           }
         }
       }
     }
+  }
 
-    // 4. Link arbitration: round-robin over each directed link's VCs,
-    // consuming token-bucket flit slots (payload + header per packet).
+  // 4. Link arbitration: round-robin over each directed link's VCs,
+  // consuming token-bucket flit slots (payload + header per packet).
+  void arbitrate() {
     for (int dl = 0; dl < f.num_dlinks; ++dl) {
       const auto& ids = f.link_vcs[static_cast<std::size_t>(dl)];
-      if (ids.empty()) continue;
-      tokens[static_cast<std::size_t>(dl)] = std::min<long long>(
-          tokens[static_cast<std::size_t>(dl)] + config.link_bandwidth,
-          static_cast<long long>(config.link_bandwidth) *
-              (config.packet_payload + header));
-      // Tokens accumulate on a down link (the bucket models the physical
-      // pipe, which recharges regardless), but nothing is granted on it.
-      // The background accumulator also freezes: a down link carries no
-      // background packets, and service resumes at the same phase.
-      if (faults_active && !fault.edge_ok(dl)) continue;
-      if (bg_active) {
-        long long& acc = bg_acc[static_cast<std::size_t>(dl)];
-        acc += bg_rates_ppm[static_cast<std::size_t>(dl)];
-        if (acc >= bg_pkt_ppm) {
-          const long long pkts = acc / bg_pkt_ppm;
-          acc -= pkts * bg_pkt_ppm;
-          tokens[static_cast<std::size_t>(dl)] -= pkts * bg_pkt_flits;
-          result.link_bg_flits[static_cast<std::size_t>(dl)] +=
-              pkts * bg_pkt_flits;
-          PFAR_OBS(on_grant(dl, now));
-        }
-      }
+      if (ids.empty() || !run.open_link(dl)) continue;
       const int count = static_cast<int>(ids.size());
       const int probes = count * config.link_bandwidth;
       const int base = rr[static_cast<std::size_t>(dl)];
-      for (int probe = 0; probe < probes && tokens[static_cast<std::size_t>(dl)] > 0; ++probe) {
+      for (int probe = 0;
+           probe < probes && run.tokens[static_cast<std::size_t>(dl)] > 0;
+           ++probe) {
         const int slot = (base + probe) % count;
-        VcState& vc = vcs[static_cast<std::size_t>(ids[static_cast<std::size_t>(slot)])];
-        if (tree_canceled[static_cast<std::size_t>(vc.tree)]) continue;
+        VcState& vc = f.vcs[static_cast<std::size_t>(ids[static_cast<std::size_t>(slot)])];
+        if (run.tree_canceled[static_cast<std::size_t>(vc.tree)]) continue;
         if (vc.credits <= 0) {
           // Credit stall: data is ready but flow control blocks the grant.
-          // vc_ready is side-effect-free, so probing it here cannot change
-          // the simulation.
           PFAR_OBS(on_credit_stall_if(vc_ready(vc)));
           continue;
         }
@@ -934,60 +1092,48 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
         if (vc.phase == Phase::kReduce) {
           packet = make_reduce_packet(vc.src, vc.tree);
         } else {
-          NodeTreeState& s = f.st(vc.src, vc.tree);
-          packet = std::move(s.fork_stage[static_cast<std::size_t>(vc.fork_index)].front());
-          s.fork_stage[static_cast<std::size_t>(vc.fork_index)].pop_front();
+          auto& stage = f.st(vc.src, vc.tree).fork_stage[static_cast<std::size_t>(vc.fork_index)];
+          packet = std::move(stage.front());
+          stage.pop_front();
         }
-        const long long flits =
-            static_cast<long long>(packet.size()) + header;
-        tokens[static_cast<std::size_t>(dl)] -= flits;
-        result.link_flits[static_cast<std::size_t>(dl)] += flits;
-        PFAR_OBS(on_grant(dl, now));
         --vc.credits;
-        if (faults_active && fault.drop_now(dl)) {
-          // Flaky link ate the packet: flits crossed (accounted above) but
-          // nothing lands. The credit still returns normally; the gap
-          // poisons the receiver.
-          ++result.dropped_packets;
-          result.dropped_flits += flits;
-          result.link_dropped_flits[static_cast<std::size_t>(dl)] += flits;
-          PFAR_OBS(on_drop(dl, flits));
-          vc.poisoned = true;
-          vc.credit_inflight.push_back(now + config.link_latency);
-        } else {
-          vc.data_inflight.emplace_back(now + config.link_latency,
+        if (run.grant(dl, static_cast<long long>(packet.size()))) {
+          vc.data_inflight.emplace_back(run.now + config.link_latency,
                                         std::move(packet));
+        } else {
+          vc.poisoned = true;  // the stream now has a gap
+          return_credit(vc);
         }
-        last_progress = now;
       }
     }
-
-    ++now;
   }
+
+  void advance() { ++run.now; }
 
   // Quiesce: once every element is delivered, no packet may remain queued
   // or on the wire, and each VC's credits (held + still returning) must
   // conserve the configured budget.
-  for (const auto& vc : vcs) {
-    PFAR_ENSURE(vc.recv.empty() && vc.data_inflight.empty(), vc.tree, vc.src,
-                vc.dst, vc.recv.size(), vc.data_inflight.size());
-    PFAR_ENSURE(vc.credits + static_cast<int>(vc.credit_inflight.size()) ==
-                    config.vc_credits,
-                vc.tree, vc.src, vc.dst, vc.credits,
-                vc.credit_inflight.size());
-  }
-  for (const auto& s : f.state) {
-    PFAR_ENSURE(s.root_queue.empty(), s.parent, s.root_queue.size());
-    for (const auto& stage : s.fork_stage) {
-      PFAR_ENSURE(stage.empty(), s.parent, stage.size());
+  void quiesce() const {
+    for (const auto& vc : f.vcs) {
+      PFAR_ENSURE(vc.recv.empty() && vc.data_inflight.empty(), vc.tree,
+                  vc.src, vc.dst, vc.recv.size(), vc.data_inflight.size());
+      PFAR_ENSURE(vc.credits + static_cast<int>(vc.credit_inflight.size()) ==
+                      config.vc_credits,
+                  vc.tree, vc.src, vc.dst, vc.credits,
+                  vc.credit_inflight.size());
+    }
+    for (const auto& s : f.state) {
+      PFAR_ENSURE(s.root_queue.empty(), s.parent, s.root_queue.size());
+      for (const auto& stage : s.fork_stage) {
+        PFAR_ENSURE(stage.empty(), s.parent, stage.size());
+      }
     }
   }
-  return now;
-}
+};
 
 // ---------------------------------------------------------------------------
-// Fast-forward engine. Bit-identical to the reference loop, with four
-// structural changes:
+// Horizon engine (SimEngine::kFastForward). Bit-identical to the reference
+// engine, with four structural changes to its data path and scheduling:
 //
 //  * arrivals and credit returns are scheduled on a time-indexed wheel (all
 //    landing times are `now + link_latency`, so the wheel has latency + 1
@@ -1002,69 +1148,111 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
 //    pipeline (one combined ring per VC), credit returns, fork stages, root
 //    turnaround — is a fixed-capacity power-of-two ring over flat arrays.
 //    All of them are bounded by the credit/fork-buffer limits, so nothing
-//    allocates after setup;
+//    allocates after setup, and no phase touches the Fabric after setup;
 //  * a cycle in which nothing moved and no event landed is provably
-//    followed by identical no-op cycles until the next in-flight landing or
-//    token-bucket recharge, so `now` jumps there in one step. Token buckets
-//    advance over the skipped range in closed form (min(t + k*B, cap) is
-//    the k-fold composition of the per-cycle update), and the jump is
-//    clamped to the stall and max_cycles deadlines so even the throwing
-//    paths report the same cycle numbers as the reference loop.
+//    followed by identical no-op cycles until the next in-flight landing,
+//    token-bucket recharge or run wake point (Run::wake_point), so `now`
+//    jumps there in one step (Run::jump_to).
 // ---------------------------------------------------------------------------
-long long run_fast_loop(Fabric& f, const SimConfig& config,
-                        const std::vector<long long>& elements_per_tree,
-                        SimResult& result,
-                        std::vector<long long>& tree_remaining,
-                        long long total_target, FaultState& fault,
-                        const std::vector<long long>& bg_rates_ppm,
-                        SimObserver* obs) {
-  const int n = f.n;
-  const int num_trees = f.num_trees;
-  const int num_vcs = static_cast<int>(f.vcs.size());
-  const Collective mode = config.collective;
-  const bool want_bcast = mode != Collective::kReduce;
-
-  // Values are functions of the GLOBAL tree index, so a sharded sub-run
-  // (tree_gid != identity) moves the very same integers as the serial run.
-  const auto expected_value = [&](int tree, long long k) {
-    const int gid = f.tree_gid[static_cast<std::size_t>(tree)];
-    return mode == Collective::kBroadcast
-               ? local_value(f.roots[static_cast<std::size_t>(tree)], gid, k)
-               : sum_over_nodes(n, gid, k);
-  };
-
-  long long delivered_total = 0;
-  long long now = 0;
-  long long last_progress = 0;
-  std::vector<int> rr(static_cast<std::size_t>(f.num_dlinks), 0);
-  std::vector<long long> tokens(static_cast<std::size_t>(f.num_dlinks), 0);
-  const int header = config.packet_header_flits;
-  const int bw = config.link_bandwidth;
-  const long long token_cap =
-      static_cast<long long>(bw) * (config.packet_payload + header);
-  const int latency = config.link_latency;
-
-  // Background traffic, identical per-cycle mechanics to the reference
-  // loop. The accumulator update is linear between drains, so the idle
-  // jump treats the next drain cycle of every live link as a wake point
-  // and replays skipped (provably drain-free) ranges in closed form.
-  const bool bg_active = !bg_rates_ppm.empty();
-  const long long bg_pkt_flits = config.background.packet_flits;
-  const long long bg_pkt_ppm = bg_pkt_flits * 1'000'000;
-  std::vector<long long> bg_acc(
-      bg_active ? static_cast<std::size_t>(f.num_dlinks) : 0, 0);
-
-  // --- Slab arena. Every packet's payload occupies one fixed-stride slab;
-  // a consumed packet's slab goes on the free list for immediate reuse.
-  const int stride = config.packet_payload;
+struct HorizonEngine {
+  // A packet: its slab in the arena and its element count.
   struct Ref {
     std::int32_t slab;
     std::int32_t size;
   };
+
+  explicit HorizonEngine(Run& r);
+
+  Run& run;
+  SimObserver* const obs;
+  const SimConfig& config;
+  const int n;
+  const int num_trees;
+  const int bw;
+  const int latency;
+  const int stride;  // slab stride = packet_payload
+  const Collective mode;
+
+  // Slab arena; a consumed packet's slab goes on the free list for reuse.
   std::vector<std::int64_t> arena;
   std::vector<std::int32_t> free_slabs;
   std::int32_t num_slabs = 0;
-  const auto alloc_slab = [&]() -> std::int32_t {
+
+  // Per-VC rings. The receive buffer and the in-flight pipeline share one
+  // FIFO ring: entries [0, ready) have landed (the reference engine's
+  // `recv`), entries [ready, total) are still on the wire with their
+  // landing times in ring_time. recv + in-flight together never exceed
+  // vc_credits (a send consumes a credit that only returns after the pop),
+  // so a bit_ceil(vc_credits) ring never overflows; same for the credit-
+  // return ring. Per-VC metadata is flattened out of VcState.
+  const std::uint32_t pcap;
+  const std::uint32_t pmask;
+  std::vector<long long> ring_time;
+  std::vector<Ref> ring_ref;
+  std::vector<long long> credit_time;
+  std::vector<std::uint32_t> rhead, rtotal, rready, chead, ccount;
+  std::vector<std::int32_t> credits;
+  std::vector<char> vc_is_reduce, vc_poisoned;
+  std::vector<std::int32_t> vc_src_state, vc_dst_state, vc_dlink, vc_stage;
+
+  // Per-(node, tree) engine state: ready-children counter, elements
+  // injected, incremental operand/expected-value generators, the
+  // reduce-input VC ids (CSR over stage_base, which doubles as the
+  // per-state fork-stage base) and the parent-side broadcast VC.
+  std::vector<std::int32_t> eng_ready, eng_nchild, stage_base, child_vcs,
+      eng_parent_vc;
+  std::vector<long long> eng_target, eng_injected;
+  std::vector<std::int64_t> inj_next, exp_next;
+  std::int64_t exp_slope = 0;
+  std::vector<std::int32_t> root_state;  // per tree
+
+  // Directed-link CSR plus the links carrying at least one VC: arbitration
+  // and the idle jump walk only populated links.
+  std::vector<std::int32_t> lv_base, lv_ids, active_dlinks;
+  std::vector<int> rr;  // round-robin pointer per directed link
+
+  // Fork-stage rings (global stage id = stage_base[state] + child slot)
+  // and the root turnaround ring per tree.
+  const std::uint32_t fcap;
+  const std::uint32_t fmask;
+  std::vector<Ref> fork_ring;
+  std::vector<std::uint32_t> fhead, fcount;
+  std::vector<Ref> root_ring;
+  std::vector<std::uint32_t> rq_head, rq_count;
+
+  // Event wheel: every data landing and credit return is scheduled at
+  // now + latency, so pending wake-ups live in (now, now + latency] and a
+  // bit_ceil(latency + 1)-bucket wheel indexed by time & mask is
+  // collision-free; last_wake dedupes to one entry per (VC, cycle).
+  const std::uint32_t wmask;
+  std::vector<std::vector<std::int32_t>> wheel;
+  std::vector<long long> last_wake;
+  long long pending_events = 0;
+
+  // Broadcast engines an event may have unblocked since they last ran.
+  std::vector<char> bcast_active;
+  std::vector<std::int32_t> bcast_list, bcast_current;
+
+  // Cycles until the earliest token-starved link can grant again.
+  long long recharge_offset = LLONG_MAX;
+
+  std::size_t vslot(std::size_t id, std::uint32_t k) const {
+    return id * pcap + ((rhead[id] + k) & pmask);
+  }
+  std::size_t cslot(std::size_t id, std::uint32_t k) const {
+    return id * pcap + ((chead[id] + k) & pmask);
+  }
+  std::size_t fslot(std::size_t sid, std::uint32_t k) const {
+    return sid * fcap + ((fhead[sid] + k) & fmask);
+  }
+  std::size_t qslot(std::size_t t, std::uint32_t k) const {
+    return t * pcap + ((rq_head[t] + k) & pmask);
+  }
+  std::int64_t* payload(std::int32_t slab) {
+    return &arena[static_cast<std::size_t>(slab) * static_cast<std::size_t>(stride)];
+  }
+
+  std::int32_t alloc_slab() {
     if (!free_slabs.empty()) {
       const std::int32_t s = free_slabs.back();
       free_slabs.pop_back();
@@ -1072,233 +1260,79 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
     }
     arena.resize(arena.size() + static_cast<std::size_t>(stride));
     return num_slabs++;
-  };
-
-  // --- Per-VC rings. The receive buffer and the in-flight pipeline share
-  // one FIFO ring: entries [0, ready) have landed (the reference loop's
-  // `recv`), entries [ready, total) are still on the wire with their
-  // landing times in ring_time. recv + in-flight together never exceed
-  // vc_credits (a send consumes a credit that only returns after the pop),
-  // so a bit_ceil(vc_credits) ring never overflows; same for the credit-
-  // return ring.
-  const std::uint32_t pcap =
-      std::bit_ceil(static_cast<std::uint32_t>(config.vc_credits));
-  const std::uint32_t pmask = pcap - 1;
-  std::vector<long long> ring_time(static_cast<std::size_t>(num_vcs) * pcap);
-  std::vector<Ref> ring_ref(static_cast<std::size_t>(num_vcs) * pcap);
-  std::vector<long long> credit_time(static_cast<std::size_t>(num_vcs) *
-                                     pcap);
-  std::vector<std::uint32_t> rhead(static_cast<std::size_t>(num_vcs), 0), rtotal(static_cast<std::size_t>(num_vcs), 0),
-      rready(static_cast<std::size_t>(num_vcs), 0);
-  std::vector<std::uint32_t> chead(static_cast<std::size_t>(num_vcs), 0), ccount(static_cast<std::size_t>(num_vcs), 0);
-  std::vector<std::int32_t> credits(static_cast<std::size_t>(num_vcs), config.vc_credits);
-
-  // --- Per-VC metadata flattened out of VcState for the hot paths.
-  std::vector<char> vc_is_reduce(static_cast<std::size_t>(num_vcs));
-  std::vector<std::int32_t> vc_src_state(static_cast<std::size_t>(num_vcs)), vc_dst_state(static_cast<std::size_t>(num_vcs));
-  std::vector<std::int32_t> vc_dlink(static_cast<std::size_t>(num_vcs));
-
-  // --- Fault bookkeeping, mirroring the reference loop's VcState::poisoned
-  // and per-tree cancel/progress tracking onto flat arrays.
-  const bool faults_active = fault.active;
-  const long long timeout = config.progress_timeout;
-  std::vector<char> vc_poisoned(static_cast<std::size_t>(num_vcs), 0);
-  std::vector<char> tree_canceled(static_cast<std::size_t>(num_trees), 0);
-  std::vector<long long> tree_progress(static_cast<std::size_t>(num_trees), 0);
-  // Elements delivered per (node, tree), to compute a canceled tree's
-  // complete prefix (the reference loop reads NodeTreeState::delivered,
-  // which this engine does not maintain).
-  std::vector<long long> eng_delivered(f.state.size(), 0);
-
-  // --- Per-(node, tree) engine state: ready-children counter plus flat
-  // fork-stage rings (global stage id = stage_base[state] + child slot).
-  const std::size_t num_states = f.state.size();
-  std::vector<std::int32_t> eng_ready(num_states, 0);
-  std::vector<std::int32_t> eng_nchild(num_states);
-  std::vector<long long> eng_target(num_states);
-  std::vector<std::int32_t> stage_base(num_states + 1, 0);
-  for (std::size_t i = 0; i < num_states; ++i) {
-    eng_nchild[i] = static_cast<std::int32_t>(f.state[i].children.size());
-    eng_target[i] = elements_per_tree[i / static_cast<std::size_t>(n)];
-    stage_base[i + 1] = stage_base[i] + eng_nchild[i];
-  }
-  const int num_stages = stage_base[num_states];
-
-  // --- Remaining hot engine state flattened out of NodeTreeState: elements
-  // injected so far, the reduce-input VC ids (CSR, stage_base doubling as
-  // the per-state child base), the parent-side broadcast VC and each root's
-  // state index. After setup the loop below never touches f.state, f.vcs or
-  // f.link_vcs again — every per-cycle access is a flat array indexed by
-  // state, VC or directed-link id.
-  std::vector<long long> eng_injected(num_states, 0);
-  std::vector<std::int32_t> child_vcs(static_cast<std::size_t>(num_stages));
-  std::vector<std::int32_t> eng_parent_vc(num_states);
-  for (std::size_t i = 0; i < num_states; ++i) {
-    eng_parent_vc[i] = f.state[i].parent_bcast_vc;
-    for (std::size_t c = 0; c < f.state[i].child_reduce_vc.size(); ++c) {
-      child_vcs[static_cast<std::size_t>(stage_base[i]) + c] =
-          f.state[i].child_reduce_vc[c];
-    }
-  }
-  std::vector<std::int32_t> root_state(static_cast<std::size_t>(num_trees));
-  for (int t = 0; t < num_trees; ++t) {
-    root_state[static_cast<std::size_t>(t)] =
-        t * n + f.roots[static_cast<std::size_t>(t)];
   }
 
-  // --- Directed-link CSR plus the list of links carrying at least one VC:
-  // arbitration and the idle-jump token replay walk only populated links.
-  std::vector<std::int32_t> lv_base(static_cast<std::size_t>(f.num_dlinks) + 1,
-                                    0);
-  for (int dl = 0; dl < f.num_dlinks; ++dl) {
-    lv_base[static_cast<std::size_t>(dl) + 1] =
-        lv_base[static_cast<std::size_t>(dl)] +
-        static_cast<std::int32_t>(
-            f.link_vcs[static_cast<std::size_t>(dl)].size());
-  }
-  std::vector<std::int32_t> lv_ids(static_cast<std::size_t>(num_vcs));
-  std::vector<std::int32_t> active_dlinks;
-  for (int dl = 0; dl < f.num_dlinks; ++dl) {
-    const auto& ids = f.link_vcs[static_cast<std::size_t>(dl)];
-    if (ids.empty()) continue;
-    active_dlinks.push_back(dl);
-    std::int32_t out = lv_base[static_cast<std::size_t>(dl)];
-    for (int id : ids) lv_ids[static_cast<std::size_t>(out++)] = id;
-  }
-  const std::uint32_t fcap =
-      std::bit_ceil(static_cast<std::uint32_t>(config.fork_buffer));
-  const std::uint32_t fmask = fcap - 1;
-  std::vector<Ref> fork_ring(static_cast<std::size_t>(num_stages) * fcap);
-  std::vector<std::uint32_t> fhead(static_cast<std::size_t>(num_stages), 0), fcount(static_cast<std::size_t>(num_stages), 0);
-  std::vector<std::int32_t> vc_stage(static_cast<std::size_t>(num_vcs), -1);
-  for (int id = 0; id < num_vcs; ++id) {
-    const VcState& vc = f.vcs[static_cast<std::size_t>(id)];
-    vc_is_reduce[static_cast<std::size_t>(id)] = vc.phase == Phase::kReduce ? 1 : 0;
-    vc_src_state[static_cast<std::size_t>(id)] = vc.tree * n + vc.src;
-    vc_dst_state[static_cast<std::size_t>(id)] = vc.tree * n + vc.dst;
-    vc_dlink[static_cast<std::size_t>(id)] = vc.dlink;
-    if (vc.phase == Phase::kBcast) {
-      vc_stage[static_cast<std::size_t>(id)] =
-          stage_base[static_cast<std::size_t>(
-              vc_src_state[static_cast<std::size_t>(id)])] +
-          vc.fork_index;
-    }
-  }
-
-  // --- Root turnaround queues, one ring per tree.
-  std::vector<Ref> root_ring(static_cast<std::size_t>(num_trees) * pcap);
-  std::vector<std::uint32_t> rq_head(static_cast<std::size_t>(num_trees), 0), rq_count(static_cast<std::size_t>(num_trees), 0);
-
-  // Event wheel: every data landing and credit return is scheduled at
-  // now + latency, so pending wake-ups live in (now, now + latency] and a
-  // bit_ceil(latency + 1)-bucket wheel indexed by time & mask is
-  // collision-free. All events scheduled within one cycle land in the same
-  // bucket (`sched_bucket`, re-aimed at each cycle top); last_wake dedupes
-  // to one entry per (VC, cycle).
-  const std::uint32_t wheel_size =
-      std::bit_ceil(static_cast<std::uint32_t>(latency) + 1u);
-  const std::uint32_t wmask = wheel_size - 1;
-  std::vector<std::vector<std::int32_t>> wheel(wheel_size);
-  std::vector<long long> last_wake(static_cast<std::size_t>(num_vcs), -1);
-  long long pending_events = 0;
-  std::vector<std::int32_t>* sched_bucket = &wheel[static_cast<unsigned>(latency) & wmask];
-  const auto schedule_wakeup = [&](int vc_id) {
-    if (last_wake[static_cast<std::size_t>(vc_id)] == now) return;
-    last_wake[static_cast<std::size_t>(vc_id)] = now;
-    sched_bucket->push_back(vc_id);
+  void schedule_wakeup(std::size_t id) {
+    if (last_wake[id] == run.now) return;
+    last_wake[id] = run.now;
+    wheel[static_cast<std::size_t>((run.now + latency) & wmask)].push_back(
+        static_cast<std::int32_t>(id));
     ++pending_events;
-  };
-
-  // Incremental operand/expected-value generators: local_value and
-  // expected_value are linear in the element index, so each engine keeps
-  // the next value and bumps it by the constant stride per element —
-  // exactly the same integers as recomputing from scratch.
-  const std::int64_t exp_slope =
-      mode == Collective::kBroadcast
-          ? kElemStride
-          : static_cast<std::int64_t>(n) * kElemStride;
-  std::vector<std::int64_t> inj_next(num_states), exp_next(num_states);
-  for (std::size_t i = 0; i < num_states; ++i) {
-    const int tree = static_cast<int>(i) / n;
-    inj_next[i] = local_value(static_cast<int>(i) % n,
-                              f.tree_gid[static_cast<std::size_t>(tree)], 0);
-    exp_next[i] = expected_value(tree, 0);
   }
 
-  // Active broadcast engines: (node, tree) pairs that an event may have
-  // unblocked since they last ran.
-  std::vector<char> bcast_active(num_states, 0);
-  std::vector<std::int32_t> bcast_list, bcast_current;
-  const auto activate_bcast = [&](std::int32_t state_idx) {
+  void activate_bcast(std::int32_t state_idx) {
     if (!bcast_active[static_cast<std::size_t>(state_idx)]) {
       bcast_active[static_cast<std::size_t>(state_idx)] = 1;
       bcast_list.push_back(state_idx);
     }
-  };
-
-  // True whenever this cycle changed any state besides token accumulation
-  // (which the jump replays in closed form) — cleared at each cycle top.
-  bool progressed = false;
+  }
 
   // Returns a consumed packet's credit to VC `id`'s sender — immediately if
-  // the link is down (mirrors the reference loop's return_credit), else via
-  // the credit-return ring after link_latency.
-  const auto return_credit = [&](int id) {
-    if (faults_active && !fault.edge_ok(vc_dlink[static_cast<std::size_t>(id)])) {
-      ++credits[static_cast<std::size_t>(id)];
-    } else {
-      credit_time[static_cast<unsigned>(id) * pcap +
-                  ((chead[static_cast<std::size_t>(id)] + ccount[static_cast<std::size_t>(id)]) & pmask)] =
-          now + latency;
-      ++ccount[static_cast<std::size_t>(id)];
-      schedule_wakeup(id);
+  // the link is down (as the reference engine does), else via the
+  // credit-return ring after link_latency.
+  void return_credit(std::size_t id) {
+    if (!run.link_up(vc_dlink[id])) {
+      ++credits[id];
+      return;
     }
-  };
+    credit_time[cslot(id, ccount[id])] = run.now + latency;
+    ++ccount[id];
+    schedule_wakeup(id);
+  }
 
-  // Readiness of VC `id` exactly as the grant path below tests it. Used
-  // only by the credit-stall observability probe, so it must stay
-  // side-effect-free.
-  [[maybe_unused]] const auto fast_vc_ready = [&](int id) -> bool {
-    const std::size_t i = static_cast<std::size_t>(id);
-    if (vc_is_reduce[i]) {
-      const std::size_t si = static_cast<std::size_t>(vc_src_state[i]);
+  // Readiness of VC `id` to send; side-effect-free, so the credit-stall
+  // probe may call it freely.
+  bool vc_ready(std::size_t id) const {
+    if (vc_is_reduce[id]) {
+      const std::size_t si = static_cast<std::size_t>(vc_src_state[id]);
       return eng_injected[si] < eng_target[si] &&
              eng_ready[si] == eng_nchild[si];
     }
-    return fcount[static_cast<std::size_t>(vc_stage[i])] > 0;
-  };
+    return fcount[static_cast<std::size_t>(vc_stage[id])] > 0;
+  }
 
   // Marks VC `id` poisoned, withdrawing it from its consumer's ready count
-  // (the reference loop's vc_ready/inputs_ready treat a poisoned VC as
-  // never ready).
-  const auto poison_vc = [&](int id) {
-    if (vc_poisoned[static_cast<std::size_t>(id)]) return;
-    vc_poisoned[static_cast<std::size_t>(id)] = 1;
-    if (vc_is_reduce[static_cast<std::size_t>(id)] &&
-        rready[static_cast<std::size_t>(id)] > 0) {
-      --eng_ready[static_cast<std::size_t>(
-          vc_dst_state[static_cast<std::size_t>(id)])];
+  // (the reference engine treats a poisoned VC as never ready).
+  void poison_vc(std::size_t id) {
+    if (vc_poisoned[id]) return;
+    vc_poisoned[id] = 1;
+    if (vc_is_reduce[id] && rready[id] > 0) {
+      --eng_ready[static_cast<std::size_t>(vc_dst_state[id])];
     }
-  };
+  }
 
-  // Pops the ready head packet of a reduce child VC and schedules its
-  // credit return; keeps the consumer's ready-children counter in sync.
-  const auto pop_child = [&](int cvc, std::int32_t consumer_state) -> Ref {
-    const Ref head = ring_ref[static_cast<unsigned>(cvc) * pcap + (rhead[static_cast<std::size_t>(cvc)] & pmask)];
-    rhead[static_cast<std::size_t>(cvc)] = (rhead[static_cast<std::size_t>(cvc)] + 1) & pmask;
-    --rtotal[static_cast<std::size_t>(cvc)];
-    if (--rready[static_cast<std::size_t>(cvc)] == 0) --eng_ready[static_cast<std::size_t>(consumer_state)];
-    return_credit(cvc);
+  Ref pop_landed(std::size_t id) {
+    const Ref head = ring_ref[vslot(id, 0)];
+    rhead[id] = (rhead[id] + 1) & pmask;
+    --rtotal[id];
+    --rready[id];
+    return_credit(id);
     return head;
-  };
+  }
 
-  const auto make_reduce_packet = [&](std::int32_t state_idx) -> Ref {
-    const std::size_t si = static_cast<std::size_t>(state_idx);
-    const long long remaining = eng_target[si] - eng_injected[si];
-    const long long size =
-        std::min<long long>(config.packet_payload, remaining);
+  void push_fork(std::size_t sid, Ref packet) {
+    fork_ring[fslot(sid, fcount[sid])] = packet;
+    ++fcount[sid];
+  }
+
+  // A fresh packet holding the next local operands of state `si`.
+  // local_value is linear in the element index, so each engine keeps the
+  // next value and bumps it by the constant stride per element.
+  Ref fill_local(std::size_t si) {
+    const long long size = std::min<long long>(
+        config.packet_payload, eng_target[si] - eng_injected[si]);
     const std::int32_t slab = alloc_slab();
-    std::int64_t* out = &arena[static_cast<std::size_t>(slab) * static_cast<std::size_t>(stride)];
+    std::int64_t* out = payload(slab);
     std::int64_t value = inj_next[si];
     for (long long i = 0; i < size; ++i) {
       out[i] = value;
@@ -1306,114 +1340,86 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
     }
     inj_next[si] = value;
     eng_injected[si] += size;
-    const std::int32_t cb = stage_base[si];
+    return Ref{slab, static_cast<std::int32_t>(size)};
+  }
+
+  Ref make_reduce_packet(std::int32_t state_idx) {
+    const std::size_t si = static_cast<std::size_t>(state_idx);
+    const Ref packet = fill_local(si);
+    std::int64_t* out = payload(packet.slab);
     for (std::int32_t c = 0; c < eng_nchild[si]; ++c) {
-      const int cvc = child_vcs[static_cast<std::size_t>(cb + c)];
-      const Ref head = pop_child(cvc, state_idx);
-      if (head.size != size) {
+      const std::size_t cvc = static_cast<std::size_t>(
+          child_vcs[static_cast<std::size_t>(stage_base[si] + c)]);
+      const Ref head = pop_landed(cvc);
+      if (rready[cvc] == 0) --eng_ready[si];
+      if (head.size != packet.size) {
         throw std::logic_error("reduce packet misalignment");
       }
-      const std::int64_t* in =
-          &arena[static_cast<std::size_t>(head.slab) * static_cast<std::size_t>(stride)];
-      for (long long i = 0; i < size; ++i) out[i] += in[i];
+      const std::int64_t* in = payload(head.slab);
+      for (std::int32_t i = 0; i < packet.size; ++i) out[i] += in[i];
       free_slabs.push_back(head.slab);
     }
     PFAR_OBS(on_reduce_packet(
         state_idx / n,
         state_idx == root_state[static_cast<std::size_t>(state_idx / n)] &&
             eng_injected[si] >= eng_target[si],
-        now));
-    return Ref{slab, static_cast<std::int32_t>(size)};
-  };
+        run.now));
+    return packet;
+  }
 
-  const auto deliver = [&](int tree, std::int32_t state_idx, Ref packet) {
-    if (result.tree_first_delivery[static_cast<std::size_t>(tree)] < 0) {
-      result.tree_first_delivery[static_cast<std::size_t>(tree)] = now;
-    }
-    const std::int64_t* p =
-        &arena[static_cast<std::size_t>(packet.slab) * static_cast<std::size_t>(stride)];
-    std::int64_t expected = exp_next[static_cast<std::size_t>(state_idx)];
+  // Checks a delivered packet against the incrementally generated
+  // expected values (the same integers as recomputing from scratch).
+  void deliver(int tree, std::size_t si, Ref packet) {
+    const std::int64_t* p = payload(packet.slab);
+    std::int64_t expected = exp_next[si];
     for (std::int32_t i = 0; i < packet.size; ++i) {
-      if (p[i] != expected) result.values_correct = false;
+      if (p[i] != expected) run.result.values_correct = false;
       expected += exp_slope;
-      ++delivered_total;
-      if (--tree_remaining[static_cast<std::size_t>(tree)] == 0) result.tree_finish_cycle[static_cast<std::size_t>(tree)] = now;
     }
-    exp_next[static_cast<std::size_t>(state_idx)] = expected;
-    eng_delivered[static_cast<std::size_t>(state_idx)] += packet.size;
-    last_progress = now;
-    tree_progress[static_cast<std::size_t>(tree)] = now;
-    progressed = true;
-  };
+    exp_next[si] = expected;
+    run.record_delivery(tree, si, packet.size);
+  }
 
-  // Fault handlers, mirroring the reference loop's drop_edge/cancel_tree
-  // onto the flat rings. Retraction counts are order-independent, so both
-  // engines account identical totals.
-  const auto drop_edge = [&](int eid) {
+  // The reference engine's drop_edge on the flat rings.
+  void drop_edge(int eid) {
     for (int d : {2 * eid, 2 * eid + 1}) {
       for (std::int32_t lk = lv_base[static_cast<std::size_t>(d)];
            lk < lv_base[static_cast<std::size_t>(d) + 1]; ++lk) {
-        const int id = lv_ids[static_cast<std::size_t>(lk)];
-        const std::size_t i = static_cast<std::size_t>(id);
-        const std::size_t base = i * pcap;
+        const std::size_t i = static_cast<std::size_t>(lv_ids[static_cast<std::size_t>(lk)]);
         PFAR_ENSURE(credits[i] + static_cast<std::int32_t>(ccount[i]) +
                             static_cast<std::int32_t>(rtotal[i]) ==
                         config.vc_credits,
-                    id, credits[i], ccount[i], rtotal[i]);
+                    i, credits[i], ccount[i], rtotal[i]);
         const std::uint32_t inflight = rtotal[i] - rready[i];
         if (inflight > 0) {
           for (std::uint32_t k = rready[i]; k < rtotal[i]; ++k) {
-            const Ref r = ring_ref[base + ((rhead[i] + k) & pmask)];
-            ++result.dropped_packets;
-            const long long flits = r.size + header;
-            result.dropped_flits += flits;
-            result.link_dropped_flits[static_cast<std::size_t>(d)] += flits;
-            PFAR_OBS(on_drop(d, flits));
+            const Ref r = ring_ref[vslot(i, k)];
+            run.count_drop(d, r.size);
             free_slabs.push_back(r.slab);
           }
           rtotal[i] = rready[i];
           credits[i] += static_cast<std::int32_t>(inflight);
-          poison_vc(id);
+          poison_vc(i);
         }
         credits[i] += static_cast<std::int32_t>(ccount[i]);
         ccount[i] = 0;
         PFAR_ENSURE(credits[i] + static_cast<std::int32_t>(rready[i]) ==
                         config.vc_credits,
-                    id, credits[i], rready[i]);
+                    i, credits[i], rready[i]);
       }
     }
-  };
+  }
 
-  const auto cancel_tree = [&](int t) {
-    tree_canceled[static_cast<std::size_t>(t)] = 1;
-    result.tree_failed[static_cast<std::size_t>(t)] = 1;
-    result.tree_fail_cycle[static_cast<std::size_t>(t)] = now;
-    result.tree_finish_cycle[static_cast<std::size_t>(t)] = -1;
-    long long prefix = LLONG_MAX;
-    if (mode == Collective::kReduce) {
-      prefix = eng_delivered[static_cast<std::size_t>(
-          t * n + f.roots[static_cast<std::size_t>(t)])];
-    } else {
-      for (int v = 0; v < n; ++v) {
-        prefix =
-            std::min(prefix, eng_delivered[static_cast<std::size_t>(t * n + v)]);
-      }
-    }
-    result.tree_completed[static_cast<std::size_t>(t)] = prefix;
-    PFAR_OBS(on_cancel(t, now, prefix));
+  // The reference engine's retract_tree on the flat rings. Retraction
+  // counts are order-independent, so both engines account identical totals.
+  void retract_tree(int t) {
     const auto retract = [&](Ref r) {
-      ++result.canceled_packets;
-      result.canceled_flits += static_cast<long long>(r.size) + header;
-      PFAR_OBS(on_retract(static_cast<long long>(r.size) + header));
+      run.retract(r.size);
       free_slabs.push_back(r.slab);
     };
-    for (int id = 0; id < num_vcs; ++id) {
-      if (vc_src_state[static_cast<std::size_t>(id)] / n != t) continue;
-      const std::size_t i = static_cast<std::size_t>(id);
-      const std::size_t base = i * pcap;
-      for (std::uint32_t k = 0; k < rtotal[i]; ++k) {
-        retract(ring_ref[base + ((rhead[i] + k) & pmask)]);
-      }
+    for (std::size_t i = 0; i < vc_src_state.size(); ++i) {
+      if (vc_src_state[i] / n != t) continue;
+      for (std::uint32_t k = 0; k < rtotal[i]; ++k) retract(ring_ref[vslot(i, k)]);
       // Withdraw from the consumer's ready count before clearing, exactly
       // once, matching the poisoned/ready bookkeeping.
       if (vc_is_reduce[i] && rready[i] > 0 && !vc_poisoned[i]) {
@@ -1427,440 +1433,382 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
     }
     for (int v = 0; v < n; ++v) {
       const std::size_t si = static_cast<std::size_t>(t * n + v);
-      const std::int32_t sb = stage_base[si];
       for (std::int32_t c = 0; c < eng_nchild[si]; ++c) {
-        const std::size_t sid = static_cast<std::size_t>(sb + c);
-        for (std::uint32_t k = 0; k < fcount[sid]; ++k) {
-          retract(fork_ring[sid * fcap + ((fhead[sid] + k) & fmask)]);
-        }
+        const std::size_t sid = static_cast<std::size_t>(stage_base[si] + c);
+        for (std::uint32_t k = 0; k < fcount[sid]; ++k) retract(fork_ring[fslot(sid, k)]);
         fcount[sid] = 0;
       }
     }
     const std::size_t ti = static_cast<std::size_t>(t);
-    for (std::uint32_t k = 0; k < rq_count[ti]; ++k) {
-      retract(root_ring[ti * pcap + ((rq_head[ti] + k) & pmask)]);
-    }
+    for (std::uint32_t k = 0; k < rq_count[ti]; ++k) retract(root_ring[qslot(ti, k)]);
     rq_count[ti] = 0;
-    total_target -= tree_remaining[ti];
-    tree_remaining[ti] = 0;
-    last_progress = now;
-    progressed = true;
-  };
+  }
 
-  while (delivered_total < total_target) {
-    if (now > config.max_cycles) {
-      throw std::runtime_error("AllreduceSimulator: cycle limit exceeded");
-    }
-    if (now - last_progress > config.stall_limit) {
-      throw std::runtime_error(
-          "AllreduceSimulator: deadlock detected at cycle " +
-          std::to_string(now));
-    }
-
-    progressed = false;
-    sched_bucket = &wheel[static_cast<std::size_t>((now + latency) & wmask)];
-
-    // 0a/0b. Fault events and per-tree loss detection, in the same order
-    // and at the same point in the cycle as the reference loop. Either one
-    // counts as progress so the idle-jump below never skips its effects.
-    if (faults_active) {
-      while (fault.next < fault.events.size() &&
-             fault.events[fault.next].cycle <= now) {
-        const PreparedFault& ev = fault.events[fault.next++];
-        if (ev.down) {
-          if (!fault.edge_down[static_cast<std::size_t>(ev.edge)]) {
-            fault.edge_down[static_cast<std::size_t>(ev.edge)] = 1;
-            drop_edge(ev.edge);
-          }
-        } else {
-          fault.edge_down[static_cast<std::size_t>(ev.edge)] = 0;
-        }
-        PFAR_OBS(on_fault(now, ev.edge, ev.down));
-        progressed = true;
+  // 1. Arrivals: only VCs with a wake-up scheduled for this cycle. A
+  // landing advances the ready boundary of the combined ring; a matured
+  // credit return bumps the sender-side credit count.
+  void arrivals() {
+    auto& bucket = wheel[static_cast<std::size_t>(run.now & wmask)];
+    if (bucket.empty()) return;
+    pending_events -= static_cast<long long>(bucket.size());
+    for (const std::int32_t vid : bucket) {
+      const std::size_t id = static_cast<std::size_t>(vid);
+      const std::uint32_t before = rready[id];
+      while (rready[id] < rtotal[id] &&
+             ring_time[vslot(id, rready[id])] <= run.now) {
+        ++rready[id];
       }
-    }
-    if (timeout > 0) {
-      for (int t = 0; t < num_trees; ++t) {
-        if (!tree_canceled[static_cast<std::size_t>(t)] &&
-            tree_remaining[static_cast<std::size_t>(t)] > 0 &&
-            now - tree_progress[static_cast<std::size_t>(t)] > timeout) {
-          cancel_tree(t);
+      if (rready[id] != before) {
+        run.record_arrival(vc_dlink[id], static_cast<int>(rready[id]));
+        // A poisoned VC's landings still occupy the buffer (occupancy
+        // above) but never make it ready (its consumer must not fire).
+        if (!vc_poisoned[id]) {
+          if (!vc_is_reduce[id]) {
+            activate_bcast(vc_dst_state[id]);
+          } else if (before == 0) {
+            ++eng_ready[static_cast<std::size_t>(vc_dst_state[id])];
+          }
         }
       }
-    }
-
-    // 1. Arrivals: only VCs with a wake-up scheduled for this cycle. A
-    // landing advances the ready boundary of the combined ring; a matured
-    // credit return bumps the sender-side credit count.
-    {
-      auto& bucket = wheel[static_cast<std::size_t>(now & wmask)];
-      if (!bucket.empty()) {
-        pending_events -= static_cast<long long>(bucket.size());
-        for (std::int32_t id : bucket) {
-          const std::size_t base = static_cast<std::size_t>(id) * pcap;
-          const std::uint32_t before = rready[static_cast<std::size_t>(id)];
-          while (rready[static_cast<std::size_t>(id)] < rtotal[static_cast<std::size_t>(id)] &&
-                 ring_time[base + ((rhead[static_cast<std::size_t>(id)] + rready[static_cast<std::size_t>(id)]) & pmask)] <=
-                     now) {
-            ++rready[static_cast<std::size_t>(id)];
-          }
-          if (rready[static_cast<std::size_t>(id)] != before) {
-            result.max_vc_occupancy =
-                std::max(result.max_vc_occupancy,
-                         static_cast<int>(rready[static_cast<std::size_t>(id)]));
-            const std::size_t qd =
-                static_cast<std::size_t>(vc_dlink[static_cast<std::size_t>(id)]);
-            result.link_queue_hwm[qd] = std::max(
-                result.link_queue_hwm[qd],
-                static_cast<long long>(rready[static_cast<std::size_t>(id)]));
-            PFAR_OBS(on_queue_depth(
-                vc_dlink[static_cast<std::size_t>(id)],
-                static_cast<int>(rready[static_cast<std::size_t>(id)])));
-            last_progress = now;
-            progressed = true;
-            // A poisoned VC's landings still occupy the buffer (occupancy
-            // above) but never make it ready (its consumer must not fire).
-            if (vc_is_reduce[static_cast<std::size_t>(id)]) {
-              if (before == 0 && !vc_poisoned[static_cast<std::size_t>(id)]) {
-              ++eng_ready[static_cast<std::size_t>(
-                  vc_dst_state[static_cast<std::size_t>(id)])];
-            }
-            } else if (!vc_poisoned[static_cast<std::size_t>(id)]) {
-              activate_bcast(vc_dst_state[static_cast<std::size_t>(id)]);
-            }
-          }
-          while (ccount[static_cast<std::size_t>(id)] > 0 &&
-                 credit_time[base + (chead[static_cast<std::size_t>(id)] & pmask)] <= now) {
-            chead[static_cast<std::size_t>(id)] = (chead[static_cast<std::size_t>(id)] + 1) & pmask;
-            --ccount[static_cast<std::size_t>(id)];
-            ++credits[static_cast<std::size_t>(id)];
-            progressed = true;
-          }
-        }
-        bucket.clear();
+      while (ccount[id] > 0 && credit_time[cslot(id, 0)] <= run.now) {
+        chead[id] = (chead[id] + 1) & pmask;
+        --ccount[id];
+        ++credits[id];
+        run.progressed = true;
       }
     }
+    bucket.clear();
+  }
 
-    // 2. Root engines (O(num_trees), cheap enough to visit every cycle).
+  // 2. Root engines (O(num_trees), cheap enough to visit every cycle).
+  void root_engines() {
     for (int t = 0; t < num_trees; ++t) {
-      if (tree_canceled[static_cast<std::size_t>(t)]) continue;
-      const std::int32_t si = root_state[static_cast<std::size_t>(t)];
+      const std::size_t ti = static_cast<std::size_t>(t);
+      if (run.tree_canceled[ti]) continue;
+      const std::int32_t si = root_state[ti];
+      const std::size_t s = static_cast<std::size_t>(si);
       for (int fire = 0; fire < bw; ++fire) {
-        if (eng_injected[static_cast<std::size_t>(si)] >=
-            eng_target[static_cast<std::size_t>(si)]) {
-          break;
-        }
+        if (eng_injected[s] >= eng_target[s]) break;
         if (mode != Collective::kReduce &&
-            static_cast<int>(rq_count[static_cast<std::size_t>(t)]) >= config.vc_credits) {
+            static_cast<int>(rq_count[ti]) >= config.vc_credits) {
           break;
         }
-        Ref packet;
-        if (mode == Collective::kBroadcast) {
-          const long long remaining =
-              eng_target[static_cast<std::size_t>(si)] -
-              eng_injected[static_cast<std::size_t>(si)];
-          const long long size =
-              std::min<long long>(config.packet_payload, remaining);
-          const std::int32_t slab = alloc_slab();
-          std::int64_t* out =
-              &arena[static_cast<std::size_t>(slab) * static_cast<std::size_t>(stride)];
-          std::int64_t value = inj_next[static_cast<std::size_t>(si)];
-          for (long long i = 0; i < size; ++i) {
-            out[i] = value;
-            value += kElemStride;
-          }
-          inj_next[static_cast<std::size_t>(si)] = value;
-          eng_injected[static_cast<std::size_t>(si)] += size;
-          packet = Ref{slab, static_cast<std::int32_t>(size)};
-        } else {
-          if (eng_ready[static_cast<std::size_t>(si)] != eng_nchild[static_cast<std::size_t>(si)]) break;
-          packet = make_reduce_packet(si);
+        if (mode != Collective::kBroadcast && eng_ready[s] != eng_nchild[s]) {
+          break;
         }
+        const Ref packet = mode == Collective::kBroadcast
+                               ? fill_local(s)
+                               : make_reduce_packet(si);
         if (mode == Collective::kReduce) {
-          deliver(t, si, packet);
+          deliver(t, s, packet);
           free_slabs.push_back(packet.slab);
         } else {
-          root_ring[static_cast<unsigned>(t) * pcap + ((rq_head[static_cast<std::size_t>(t)] + rq_count[static_cast<std::size_t>(t)]) & pmask)] =
-              packet;
-          ++rq_count[static_cast<std::size_t>(t)];
+          root_ring[qslot(ti, rq_count[ti])] = packet;
+          ++rq_count[ti];
           activate_bcast(si);
         }
-        last_progress = now;
-        progressed = true;
+        run.progress();
       }
     }
+  }
 
-    // 3. Broadcast replication, active engines only. Processing order
-    // within a cycle does not affect any state the engines share, so the
-    // activation order is as good as the reference loop's (t, v) order.
-    if (want_bcast && !bcast_list.empty()) {
-      bcast_current.clear();
-      bcast_current.swap(bcast_list);
-      for (std::int32_t idx : bcast_current) bcast_active[static_cast<std::size_t>(idx)] = 0;
-      for (std::int32_t idx : bcast_current) {
-        const int t = idx / n;
-        if (tree_canceled[static_cast<std::size_t>(t)]) continue;
-        const bool is_root = (idx == root_state[static_cast<std::size_t>(t)]);
-        if (!is_root && eng_parent_vc[static_cast<std::size_t>(idx)] < 0) {
+  // 3. Broadcast replication, active engines only. Processing order
+  // within a cycle does not affect any state the engines share, so the
+  // activation order is as good as the reference engine's (t, v) order.
+  void broadcast_fork() {
+    if (bcast_list.empty()) return;
+    bcast_current.clear();
+    bcast_current.swap(bcast_list);
+    for (std::int32_t idx : bcast_current) bcast_active[static_cast<std::size_t>(idx)] = 0;
+    for (const std::int32_t idx : bcast_current) {
+      const std::size_t si = static_cast<std::size_t>(idx);
+      const std::size_t t = static_cast<std::size_t>(idx / n);
+      if (run.tree_canceled[t]) continue;
+      const bool is_root = (idx == root_state[t]);
+      if (!is_root && eng_parent_vc[si] < 0) continue;
+      const std::int32_t sb = stage_base[si];
+      const std::int32_t forks = eng_nchild[si];
+      bool blocked = false;
+      int moves = 0;
+      for (; moves < bw; ++moves) {
+        // Every fork stage needs room; a full one is re-armed by a
+        // fork-slot drain in arbitration.
+        for (std::int32_t c = 0; c < forks && !blocked; ++c) {
+          blocked = static_cast<int>(fcount[static_cast<std::size_t>(sb + c)]) >=
+                    config.fork_buffer;
+        }
+        if (blocked) break;
+        Ref packet;
+        if (is_root) {
+          blocked = rq_count[t] == 0;  // re-armed by the next root push
+          if (blocked) break;
+          packet = root_ring[qslot(t, 0)];
+          rq_head[t] = (rq_head[t] + 1) & pmask;
+          --rq_count[t];
+        } else {
+          const std::size_t pvc = static_cast<std::size_t>(eng_parent_vc[si]);
+          blocked = vc_poisoned[pvc] || rready[pvc] == 0;  // next arrival
+          if (blocked) break;
+          packet = pop_landed(pvc);
+        }
+        deliver(static_cast<int>(t), si, packet);
+        if (forks == 0) {
+          free_slabs.push_back(packet.slab);
           continue;
         }
-        const std::int32_t sb = stage_base[static_cast<std::size_t>(idx)];
-        const std::int32_t forks = eng_nchild[static_cast<std::size_t>(idx)];
-        bool blocked = false;
-        int moves = 0;
-        for (; moves < bw; ++moves) {
-          bool room = true;
-          for (std::int32_t c = 0; c < forks; ++c) {
-            if (static_cast<int>(fcount[static_cast<std::size_t>(sb + c)]) >= config.fork_buffer) {
-              room = false;
-              break;
-            }
-          }
-          if (!room) {
-            blocked = true;  // re-armed by a fork-slot drain in step 4
-            break;
-          }
-          Ref packet;
-          if (is_root) {
-            if (rq_count[static_cast<std::size_t>(t)] == 0) {
-              blocked = true;  // re-armed by the next root-queue push
-              break;
-            }
-            packet = root_ring[static_cast<unsigned>(t) * pcap + (rq_head[static_cast<std::size_t>(t)] & pmask)];
-            rq_head[static_cast<std::size_t>(t)] = (rq_head[static_cast<std::size_t>(t)] + 1) & pmask;
-            --rq_count[static_cast<std::size_t>(t)];
-          } else {
-            const int pvc = eng_parent_vc[static_cast<std::size_t>(idx)];
-            if (vc_poisoned[static_cast<std::size_t>(pvc)] ||
-                rready[static_cast<std::size_t>(pvc)] == 0) {
-              blocked = true;  // re-armed by the next arrival
-              break;
-            }
-            packet = ring_ref[static_cast<unsigned>(pvc) * pcap + (rhead[static_cast<std::size_t>(pvc)] & pmask)];
-            rhead[static_cast<std::size_t>(pvc)] = (rhead[static_cast<std::size_t>(pvc)] + 1) & pmask;
-            --rtotal[static_cast<std::size_t>(pvc)];
-            --rready[static_cast<std::size_t>(pvc)];
-            return_credit(pvc);
-          }
-          deliver(t, idx, packet);
-          if (forks == 0) {
-            free_slabs.push_back(packet.slab);
-          } else {
-            for (std::int32_t c = 0; c + 1 < forks; ++c) {
-              const std::int32_t slab = alloc_slab();
-              std::copy_n(
-                  &arena[static_cast<std::size_t>(packet.slab) * static_cast<std::size_t>(stride)],
-                  packet.size,
-                  &arena[static_cast<std::size_t>(slab) * static_cast<std::size_t>(stride)]);
-              const std::int32_t sid = sb + c;
-              fork_ring[static_cast<unsigned>(sid) * fcap + ((fhead[static_cast<std::size_t>(sid)] + fcount[static_cast<std::size_t>(sid)]) & fmask)] =
-                  Ref{slab, packet.size};
-              ++fcount[static_cast<std::size_t>(sid)];
-            }
-            const std::int32_t sid = sb + forks - 1;
-            fork_ring[static_cast<unsigned>(sid) * fcap + ((fhead[static_cast<std::size_t>(sid)] + fcount[static_cast<std::size_t>(sid)]) & fmask)] =
-                packet;
-            ++fcount[static_cast<std::size_t>(sid)];
-          }
+        for (std::int32_t c = 0; c + 1 < forks; ++c) {
+          const std::int32_t slab = alloc_slab();
+          std::copy_n(payload(packet.slab), packet.size, payload(slab));
+          push_fork(static_cast<std::size_t>(sb + c), Ref{slab, packet.size});
         }
-        // Used its full per-cycle budget without blocking: it may have more
-        // work next cycle with no new event to re-arm it, so stay active.
-        if (!blocked && moves == bw) activate_bcast(idx);
+        push_fork(static_cast<std::size_t>(sb + forks - 1), packet);
       }
+      // Used its full per-cycle budget without blocking: it may have more
+      // work next cycle with no new event to re-arm it, so stay active.
+      if (!blocked && moves == bw) activate_bcast(idx);
     }
+  }
 
-    // 4. Link arbitration, identical to the reference loop except that a
-    // token-starved link contributes its recharge time to the event
-    // horizon instead of being probed.
-    long long recharge_offset = LLONG_MAX;
+  // 4. Link arbitration, as in the reference engine, except that a
+  // token-starved link contributes its recharge time to the event horizon
+  // instead of being probed. A down link contributes nothing: it resumes
+  // via its link_up fault event, itself a wake point.
+  void arbitrate() {
+    recharge_offset = LLONG_MAX;
     for (const std::int32_t dl : active_dlinks) {
-      tokens[static_cast<std::size_t>(dl)] = std::min<long long>(tokens[static_cast<std::size_t>(dl)] + bw, token_cap);
-      // Down link: tokens recharge (reference loop ditto) but no grants,
-      // and it contributes nothing to the recharge horizon — resumption is
-      // driven by the link_up fault event, which is its own wake point.
-      // The background accumulator freezes too (reference loop ditto).
-      if (faults_active && !fault.edge_ok(dl)) continue;
-      if (bg_active) {
-        long long& acc = bg_acc[static_cast<std::size_t>(dl)];
-        acc += bg_rates_ppm[static_cast<std::size_t>(dl)];
-        if (acc >= bg_pkt_ppm) {
-          const long long pkts = acc / bg_pkt_ppm;
-          acc -= pkts * bg_pkt_ppm;
-          tokens[static_cast<std::size_t>(dl)] -= pkts * bg_pkt_flits;
-          result.link_bg_flits[static_cast<std::size_t>(dl)] +=
-              pkts * bg_pkt_flits;
-          PFAR_OBS(on_grant(dl, now));
-        }
-      }
-      if (tokens[static_cast<std::size_t>(dl)] <= 0) {
+      const std::size_t d = static_cast<std::size_t>(dl);
+      if (!run.open_link(dl)) continue;
+      if (run.tokens[d] <= 0) {
         // Cycles until the bucket is positive again: smallest k >= 1 with
         // tokens + k * bw >= 1.
         recharge_offset =
-            std::min(recharge_offset, (1 - tokens[static_cast<std::size_t>(dl)] + bw - 1) / bw);
+            std::min(recharge_offset, (1 - run.tokens[d] + bw - 1) / bw);
         continue;
       }
-      const std::int32_t lb = lv_base[static_cast<std::size_t>(dl)];
-      const int count =
-          static_cast<int>(lv_base[static_cast<std::size_t>(dl) + 1] - lb);
+      const std::int32_t lb = lv_base[d];
+      const int count = static_cast<int>(lv_base[d + 1] - lb);
       const int probes = count * bw;
-      int slot = rr[static_cast<std::size_t>(dl)];
-      for (int probe = 0; probe < probes && tokens[static_cast<std::size_t>(dl)] > 0;
+      int slot = rr[d];
+      for (int probe = 0; probe < probes && run.tokens[d] > 0;
            ++probe, slot = slot + 1 == count ? 0 : slot + 1) {
-        const int id = lv_ids[static_cast<std::size_t>(lb + slot)];
-        if (tree_canceled[static_cast<std::size_t>(
-                vc_src_state[static_cast<std::size_t>(id)] / n)]) {
+        const std::size_t id =
+            static_cast<std::size_t>(lv_ids[static_cast<std::size_t>(lb + slot)]);
+        if (run.tree_canceled[static_cast<std::size_t>(vc_src_state[id] / n)]) {
           continue;
         }
-        if (credits[static_cast<std::size_t>(id)] <= 0) {
+        if (credits[id] <= 0) {
           // Credit stall, counted at the same probe point as the reference
-          // loop. Stall totals are engine-relative: this engine never
+          // engine. Stall totals are engine-relative: this engine never
           // probes the cycles it fast-forwards over.
-          PFAR_OBS(on_credit_stall_if(fast_vc_ready(id)));
+          PFAR_OBS(on_credit_stall_if(vc_ready(id)));
           continue;
         }
+        if (!vc_ready(id)) continue;
+        rr[d] = slot + 1 == count ? 0 : slot + 1;
         Ref packet;
-        if (vc_is_reduce[static_cast<std::size_t>(id)]) {
-          const std::int32_t si = vc_src_state[static_cast<std::size_t>(id)];
-          if (eng_injected[static_cast<std::size_t>(si)] >= eng_target[static_cast<std::size_t>(si)] ||
-              eng_ready[static_cast<std::size_t>(si)] != eng_nchild[static_cast<std::size_t>(si)]) {
-            continue;
-          }
-          rr[static_cast<std::size_t>(dl)] = slot + 1 == count ? 0 : slot + 1;
-          packet = make_reduce_packet(si);
+        if (vc_is_reduce[id]) {
+          packet = make_reduce_packet(vc_src_state[id]);
         } else {
-          const std::int32_t sid = vc_stage[static_cast<std::size_t>(id)];
-          if (fcount[static_cast<std::size_t>(sid)] == 0) continue;
-          rr[static_cast<std::size_t>(dl)] = slot + 1 == count ? 0 : slot + 1;
-          packet = fork_ring[static_cast<unsigned>(sid) * fcap + (fhead[static_cast<std::size_t>(sid)] & fmask)];
-          fhead[static_cast<std::size_t>(sid)] = (fhead[static_cast<std::size_t>(sid)] + 1) & fmask;
-          --fcount[static_cast<std::size_t>(sid)];
-          activate_bcast(vc_src_state[static_cast<std::size_t>(id)]);  // fork slot drained
+          const std::size_t sid = static_cast<std::size_t>(vc_stage[id]);
+          packet = fork_ring[fslot(sid, 0)];
+          fhead[sid] = (fhead[sid] + 1) & fmask;
+          --fcount[sid];
+          activate_bcast(vc_src_state[id]);  // fork slot drained
         }
-        const long long flits = packet.size + header;
-        tokens[static_cast<std::size_t>(dl)] -= flits;
-        result.link_flits[static_cast<std::size_t>(dl)] += flits;
-        PFAR_OBS(on_grant(dl, now));
-        --credits[static_cast<std::size_t>(id)];
-        if (faults_active && fault.drop_now(dl)) {
-          // Flaky link ate the packet (same decision sequence as the
-          // reference loop): account the loss, poison the receiver, and
-          // schedule the normal credit return.
-          ++result.dropped_packets;
-          result.dropped_flits += flits;
-          result.link_dropped_flits[static_cast<std::size_t>(dl)] += flits;
-          PFAR_OBS(on_drop(dl, flits));
+        --credits[id];
+        if (run.grant(dl, packet.size)) {
+          ring_time[vslot(id, rtotal[id])] = run.now + latency;
+          ring_ref[vslot(id, rtotal[id])] = packet;
+          ++rtotal[id];
+          schedule_wakeup(id);
+        } else {
           free_slabs.push_back(packet.slab);
           poison_vc(id);
-          credit_time[static_cast<unsigned>(id) * pcap +
-                      ((chead[static_cast<std::size_t>(id)] + ccount[static_cast<std::size_t>(id)]) & pmask)] =
-              now + latency;
-          ++ccount[static_cast<std::size_t>(id)];
-          schedule_wakeup(id);
-        } else {
-          ring_time[static_cast<unsigned>(id) * pcap + ((rhead[static_cast<std::size_t>(id)] + rtotal[static_cast<std::size_t>(id)]) & pmask)] =
-              now + latency;
-          ring_ref[static_cast<unsigned>(id) * pcap + ((rhead[static_cast<std::size_t>(id)] + rtotal[static_cast<std::size_t>(id)]) & pmask)] = packet;
-          ++rtotal[static_cast<std::size_t>(id)];
-          schedule_wakeup(id);
+          return_credit(id);
         }
-        last_progress = now;
-        progressed = true;
       }
     }
+  }
 
-    if (progressed) {
-      ++now;
-      continue;
+  // Next cycle: the following one after progress, else the idle jump to
+  // the earliest in-flight landing, token recharge or run wake point.
+  void advance() {
+    if (run.progressed) {
+      ++run.now;
+      return;
     }
-
-    // Idle cycle: nothing can move until an in-flight landing, a token
-    // recharge, or one of the abort deadlines. Jump there directly.
     long long target = LLONG_MAX;
     if (pending_events > 0) {
       for (int d = 1; d <= latency; ++d) {
-        if (!wheel[static_cast<std::size_t>((now + d) & wmask)].empty()) {
-          target = now + d;
+        if (!wheel[static_cast<std::size_t>((run.now + d) & wmask)].empty()) {
+          target = run.now + d;
           break;
         }
       }
     }
     if (recharge_offset != LLONG_MAX) {
-      target = std::min(target, now + recharge_offset);
+      target = std::min(target, run.now + recharge_offset);
     }
-    // Fault cycles are wake points: the jump may never skip a scheduled
-    // event or a per-tree timeout expiry (both checked at cycle tops, so
-    // the expiry cycle progress + timeout + 1 must be visited).
-    if (faults_active && fault.next < fault.events.size()) {
-      target = std::min(target, fault.events[fault.next].cycle);
-    }
-    if (timeout > 0) {
-      for (int t = 0; t < num_trees; ++t) {
-        if (!tree_canceled[static_cast<std::size_t>(t)] &&
-            tree_remaining[static_cast<std::size_t>(t)] > 0) {
-          target = std::min(
-              target, tree_progress[static_cast<std::size_t>(t)] + timeout + 1);
-        }
-      }
-    }
-    // Background drains mutate token buckets, so the next drain cycle of
-    // every live (up, loaded) link is a wake point: the jump may only
-    // skip cycles in which no link drains, which keeps the closed-form
-    // token advance below exact. Down links freeze and resume via their
-    // link_up fault event, itself a wake point.
-    if (bg_active) {
-      for (const std::int32_t dl : active_dlinks) {
-        const long long rate = bg_rates_ppm[static_cast<std::size_t>(dl)];
-        if (rate <= 0) continue;
-        if (faults_active && !fault.edge_ok(dl)) continue;
-        // Smallest k >= 1 with acc + k * rate >= bg_pkt_ppm (acc stays
-        // below bg_pkt_ppm between drains, so need >= 1).
-        const long long need =
-            bg_pkt_ppm - bg_acc[static_cast<std::size_t>(dl)];
-        target = std::min(target, now + (need + rate - 1) / rate);
-      }
-    }
-    target = std::min(target, last_progress + config.stall_limit + 1);
-    target = std::min(target, config.max_cycles + 1);
-    const long long skip = target - now - 1;
-    if (skip > 0) {
-      for (const std::int32_t dl : active_dlinks) {
-        tokens[static_cast<std::size_t>(dl)] = std::min<long long>(tokens[static_cast<std::size_t>(dl)] + skip * bw, token_cap);
-        if (bg_active && !(faults_active && !fault.edge_ok(dl))) {
-          // Drain-free range (see the wake point above): the accumulator
-          // advances linearly, exactly as skip per-cycle updates would.
-          bg_acc[static_cast<std::size_t>(dl)] +=
-              skip * bg_rates_ppm[static_cast<std::size_t>(dl)];
-        }
-      }
-    }
-    now = target;
+    run.jump_to(run.wake_point(target, active_dlinks), active_dlinks);
   }
 
-  // Quiesce, mirrored from the reference loop onto the flat rings: empty
-  // receive/in-flight rings, drained fork stages and root queues, and
-  // credit conservation per VC (held + still returning == budget).
-  for (int id = 0; id < num_vcs; ++id) {
-    PFAR_ENSURE(rtotal[static_cast<std::size_t>(id)] == 0, id,
-                rtotal[static_cast<std::size_t>(id)]);
-    PFAR_ENSURE(credits[static_cast<std::size_t>(id)] +
-                        static_cast<std::int32_t>(
-                            ccount[static_cast<std::size_t>(id)]) ==
-                    config.vc_credits,
-                id, credits[static_cast<std::size_t>(id)],
-                ccount[static_cast<std::size_t>(id)]);
+  // The reference engine's quiesce contracts on the flat rings.
+  void quiesce() const {
+    for (std::size_t id = 0; id < rtotal.size(); ++id) {
+      PFAR_ENSURE(rtotal[id] == 0, id, rtotal[id]);
+      PFAR_ENSURE(credits[id] + static_cast<std::int32_t>(ccount[id]) ==
+                      config.vc_credits,
+                  id, credits[id], ccount[id]);
+    }
+    for (std::size_t sid = 0; sid < fcount.size(); ++sid) {
+      PFAR_ENSURE(fcount[sid] == 0, sid, fcount[sid]);
+    }
+    for (std::size_t t = 0; t < rq_count.size(); ++t) {
+      PFAR_ENSURE(rq_count[t] == 0, t, rq_count[t]);
+    }
   }
-  for (int sid = 0; sid < num_stages; ++sid) {
-    PFAR_ENSURE(fcount[static_cast<std::size_t>(sid)] == 0, sid,
-                fcount[static_cast<std::size_t>(sid)]);
+};
+
+HorizonEngine::HorizonEngine(Run& r)
+    : run(r),
+      obs(r.obs),
+      config(r.config),
+      n(r.f.n),
+      num_trees(r.f.num_trees),
+      bw(r.config.link_bandwidth),
+      latency(r.config.link_latency),
+      stride(r.config.packet_payload),
+      mode(r.config.collective),
+      pcap(std::bit_ceil(static_cast<std::uint32_t>(r.config.vc_credits))),
+      pmask(pcap - 1),
+      fcap(std::bit_ceil(static_cast<std::uint32_t>(r.config.fork_buffer))),
+      fmask(fcap - 1),
+      wmask(std::bit_ceil(static_cast<std::uint32_t>(r.config.link_latency) +
+                          1u) -
+            1) {
+  const Fabric& f = r.f;
+  const std::size_t num_vcs = f.vcs.size();
+  const std::size_t num_states = f.state.size();
+  const std::size_t trees = static_cast<std::size_t>(num_trees);
+  const std::size_t dlinks = static_cast<std::size_t>(f.num_dlinks);
+
+  ring_time.resize(num_vcs * pcap);
+  ring_ref.resize(num_vcs * pcap);
+  credit_time.resize(num_vcs * pcap);
+  for (auto* v : {&rhead, &rtotal, &rready, &chead, &ccount}) v->assign(num_vcs, 0);
+  credits.assign(num_vcs, config.vc_credits);
+  vc_poisoned.assign(num_vcs, 0);
+  last_wake.assign(num_vcs, -1);
+
+  eng_ready.assign(num_states, 0);
+  eng_nchild.resize(num_states);
+  eng_target.resize(num_states);
+  eng_injected.assign(num_states, 0);
+  eng_parent_vc.resize(num_states);
+  stage_base.assign(num_states + 1, 0);
+  for (std::size_t i = 0; i < num_states; ++i) {
+    eng_nchild[i] = static_cast<std::int32_t>(f.state[i].children.size());
+    eng_target[i] = r.elements[i / static_cast<std::size_t>(n)];
+    eng_parent_vc[i] = f.state[i].parent_bcast_vc;
+    stage_base[i + 1] = stage_base[i] + eng_nchild[i];
   }
+  const std::size_t num_stages = static_cast<std::size_t>(stage_base[num_states]);
+  child_vcs.resize(num_stages);
+  for (std::size_t i = 0; i < num_states; ++i) {
+    for (std::size_t c = 0; c < f.state[i].child_reduce_vc.size(); ++c) {
+      child_vcs[static_cast<std::size_t>(stage_base[i]) + c] =
+          f.state[i].child_reduce_vc[c];
+    }
+  }
+  root_state.resize(trees);
   for (int t = 0; t < num_trees; ++t) {
-    PFAR_ENSURE(rq_count[static_cast<std::size_t>(t)] == 0, t,
-                rq_count[static_cast<std::size_t>(t)]);
+    root_state[static_cast<std::size_t>(t)] =
+        t * n + f.roots[static_cast<std::size_t>(t)];
   }
-  return now;
+
+  lv_base.assign(dlinks + 1, 0);
+  lv_ids.resize(num_vcs);
+  for (std::size_t dl = 0; dl < dlinks; ++dl) {
+    const auto& ids = f.link_vcs[dl];
+    lv_base[dl + 1] = lv_base[dl] + static_cast<std::int32_t>(ids.size());
+    if (ids.empty()) continue;
+    active_dlinks.push_back(static_cast<std::int32_t>(dl));
+    std::copy(ids.begin(), ids.end(), lv_ids.begin() + lv_base[dl]);
+  }
+  rr.assign(dlinks, 0);
+
+  fork_ring.resize(num_stages * fcap);
+  fhead.assign(num_stages, 0);
+  fcount.assign(num_stages, 0);
+  vc_is_reduce.resize(num_vcs);
+  vc_src_state.resize(num_vcs);
+  vc_dst_state.resize(num_vcs);
+  vc_dlink.resize(num_vcs);
+  vc_stage.assign(num_vcs, -1);
+  for (std::size_t id = 0; id < num_vcs; ++id) {
+    const VcState& vc = f.vcs[id];
+    vc_is_reduce[id] = vc.phase == Phase::kReduce ? 1 : 0;
+    vc_src_state[id] = vc.tree * n + vc.src;
+    vc_dst_state[id] = vc.tree * n + vc.dst;
+    vc_dlink[id] = vc.dlink;
+    if (vc.phase == Phase::kBcast) {
+      vc_stage[id] = stage_base[static_cast<std::size_t>(vc_src_state[id])] +
+                     vc.fork_index;
+    }
+  }
+  root_ring.resize(trees * pcap);
+  rq_head.assign(trees, 0);
+  rq_count.assign(trees, 0);
+  wheel.resize(static_cast<std::size_t>(wmask) + 1);
+  bcast_active.assign(num_states, 0);
+
+  // Operand and expected-value generators. Values are functions of the
+  // GLOBAL tree index, so a sharded sub-run (tree_gid != identity) moves
+  // the very same integers as the serial run.
+  exp_slope = mode == Collective::kBroadcast
+                  ? kElemStride
+                  : static_cast<std::int64_t>(n) * kElemStride;
+  inj_next.resize(num_states);
+  exp_next.resize(num_states);
+  for (std::size_t i = 0; i < num_states; ++i) {
+    const std::size_t tree = i / static_cast<std::size_t>(n);
+    const int gid = f.tree_gid[tree];
+    inj_next[i] = local_value(static_cast<int>(i % static_cast<std::size_t>(n)), gid, 0);
+    exp_next[i] = mode == Collective::kBroadcast
+                      ? local_value(f.roots[tree], gid, 0)
+                      : sum_over_nodes(n, gid, 0);
+  }
+}
+
+// The one cycle loop both engines run: the run's cycle-top events, the
+// engine's four phases in model order, then its clock step (one cycle, or
+// the horizon engine's idle jump). Returns the exit cycle.
+template <class Engine>
+long long drive(Engine& eng) {
+  Run& run = eng.run;
+  while (run.delivered_total < run.total_target) {
+    run.begin_cycle(eng);
+    eng.arrivals();
+    eng.root_engines();
+    if (run.config.collective != Collective::kReduce) eng.broadcast_fork();
+    eng.arbitrate();
+    eng.advance();
+  }
+  eng.quiesce();
+  return run.now;
+}
+
+long long simulate(Run& run) {
+  if (run.config.engine == SimEngine::kReference) {
+    ReferenceEngine eng(run);
+    return drive(eng);
+  }
+  HorizonEngine eng(run);
+  return drive(eng);
 }
 
 }  // namespace
+
 
 // ---------------------------------------------------------------------------
 // Intra-run sharding (SimConfig::shard_threads, fast-forward engine only).
@@ -1963,22 +1911,12 @@ long long run_sharded(const graph::Graph& topology,
           sub_elements.push_back(
               elements_per_tree[static_cast<std::size_t>(t)]);
         }
-        SimResult& r = sub[static_cast<std::size_t>(g)];
-        Fabric fabric = build_fabric(topology, sub_trees, config, r, &gids);
-        const long long receivers =
-            config.collective == Collective::kReduce ? 1 : fabric.n;
-        long long target = 0;
-        std::vector<long long> remaining(gids.size());
-        for (std::size_t i = 0; i < gids.size(); ++i) {
-          r.total_elements += sub_elements[i];
-          remaining[i] = sub_elements[i] * receivers;
-          target += remaining[i];
+        Run run(topology, sub_trees, config, sub_elements, &gids);
+        if (run.total_target > 0) {
+          run.set_background(bg_rates_ppm);
+          sub_cycles[static_cast<std::size_t>(g)] = simulate(run);
         }
-        if (target == 0) return;
-        FaultState fault = prepare_faults(topology, config.faults);
-        sub_cycles[static_cast<std::size_t>(g)] = run_fast_loop(
-            fabric, config, sub_elements, r, remaining, target, fault,
-            bg_rates_ppm, nullptr);
+        sub[static_cast<std::size_t>(g)] = std::move(run.result);
       });
 
   // Deterministic merge, in group order (though every combiner below is
@@ -2021,38 +1959,64 @@ long long run_sharded(const graph::Graph& topology,
 
 }  // namespace
 
+SimResult sized_sim_result(const std::vector<long long>& elements_per_tree,
+                           int num_dlinks) {
+  PFAR_REQUIRE(num_dlinks >= 0, num_dlinks);
+  const std::size_t trees = elements_per_tree.size();
+  const std::size_t dlinks = static_cast<std::size_t>(num_dlinks);
+  SimResult result;
+  result.values_correct = true;
+  result.tree_finish_cycle.assign(trees, 0);
+  result.tree_first_delivery.assign(trees, -1);
+  result.tree_failed.assign(trees, 0);
+  result.tree_fail_cycle.assign(trees, -1);
+  result.tree_completed.assign(trees, 0);
+  result.link_flits.assign(dlinks, 0);
+  result.link_queue_hwm.assign(dlinks, 0);
+  result.link_bg_flits.assign(dlinks, 0);
+  result.link_dropped_flits.assign(dlinks, 0);
+  for (long long m : elements_per_tree) {
+    if (m < 0) throw std::invalid_argument("run: negative element count");
+    result.total_elements += m;
+  }
+  return result;
+}
+
 // pfar-lint: allow(contract-coverage) every config field, fault script and tree is validated via std::invalid_argument throws below
 AllreduceSimulator::AllreduceSimulator(const graph::Graph& topology,
                                        std::vector<TreeEmbedding> trees,
                                        SimConfig config)
     : topology_(topology), trees_(std::move(trees)), config_(config) {
-  if (config_.link_bandwidth < 1 || config_.link_latency < 0 ||
-      config_.vc_credits < 1 || config_.fork_buffer < 1 ||
-      config_.packet_payload < 1 || config_.packet_header_flits < 0) {
+  // Every range check is written in positive form so NaN fails it.
+  const SimConfig& c = config_;
+  if (!(c.link_bandwidth >= 1 && c.link_latency >= 0 && c.vc_credits >= 1 &&
+        c.fork_buffer >= 1 && c.packet_payload >= 1 &&
+        c.packet_header_flits >= 0)) {
     throw std::invalid_argument("AllreduceSimulator: bad config");
   }
-  if (config_.progress_timeout < 0) {
+  if (!(c.max_cycles >= 0 && c.stall_limit >= 0)) {
+    throw std::invalid_argument(
+        "AllreduceSimulator: max_cycles and stall_limit must be "
+        "non-negative");
+  }
+  if (!(c.progress_timeout >= 0)) {
     throw std::invalid_argument(
         "AllreduceSimulator: negative progress_timeout");
   }
-  if (config_.progress_timeout > 0 &&
-      config_.progress_timeout >= config_.stall_limit) {
+  if (c.progress_timeout > 0 && !(c.progress_timeout < c.stall_limit)) {
     throw std::invalid_argument(
         "AllreduceSimulator: progress_timeout must be below stall_limit so "
         "per-tree detection fires before the global deadlock check");
   }
-  if (config_.background.load < 0.0 || config_.background.load >= 1.0 ||
-      config_.background.packet_flits < 1) {
+  const BackgroundTraffic& bg = c.background;
+  if (!(bg.load >= 0.0 && bg.load < 1.0 && bg.packet_flits >= 1)) {
     throw std::invalid_argument(
         "AllreduceSimulator: background load must be in [0, 1) and "
         "packet_flits >= 1");
   }
-  if (config_.background.active() &&
-      config_.background.pattern == TrafficPattern::kHotspot &&
-      (config_.background.hotspot_node < 0 ||
-       config_.background.hotspot_node >= topology_.num_vertices() ||
-       config_.background.hotspot_fraction < 0.0 ||
-       config_.background.hotspot_fraction > 1.0)) {
+  if (bg.active() && bg.pattern == TrafficPattern::kHotspot &&
+      !(bg.hotspot_node >= 0 && bg.hotspot_node < topology_.num_vertices() &&
+        bg.hotspot_fraction >= 0.0 && bg.hotspot_fraction <= 1.0)) {
     throw std::invalid_argument(
         "AllreduceSimulator: hotspot_node must name a vertex and "
         "hotspot_fraction lie in [0, 1]");
@@ -2094,45 +2058,26 @@ SimResult AllreduceSimulator::run(
     return run_flow_allreduce(topology_, trees_, config_, elements_per_tree);
   }
 
-  SimResult result;
-  Fabric fabric = build_fabric(topology_, trees_, config_, result);
-
-  // Deliveries expected per tree: at every node for Allreduce/Broadcast,
-  // at the root only for Reduce.
-  const Collective mode = config_.collective;
-  long long total_target = 0;
-  std::vector<long long> tree_remaining(static_cast<std::size_t>(num_trees));
-  for (int t = 0; t < num_trees; ++t) {
-    if (elements_per_tree[static_cast<std::size_t>(t)] < 0) {
-      throw std::invalid_argument("run: negative element count");
-    }
-    result.total_elements += elements_per_tree[static_cast<std::size_t>(t)];
-    const long long receivers =
-        (mode == Collective::kReduce) ? 1 : fabric.n;
-    tree_remaining[static_cast<std::size_t>(t)] = elements_per_tree[static_cast<std::size_t>(t)] * receivers;
-    total_target += tree_remaining[static_cast<std::size_t>(t)];
-  }
-  if (total_target == 0) return result;
-
-  FaultState fault = prepare_faults(topology_, config_.faults);
+  Run run(topology_, trees_, config_, elements_per_tree);
+  SimResult& result = run.result;
+  if (run.total_target == 0) return std::move(result);
 
   // Background traffic: steady-state per-directed-link drain rates,
   // computed once per run (empty vector = quiet network, and none of the
   // engines' background code executes).
-  std::vector<long long> bg_rates;
   if (config_.background.active()) {
-    bg_rates = background_link_rates_ppm(topology_, config_.background,
-                                         config_.link_bandwidth);
+    run.set_background(background_link_rates_ppm(
+        topology_, config_.background, config_.link_bandwidth));
   }
+  const std::vector<long long>& bg_rates = run.bg_rates;
 
   // Observability: attach only when compiled in and a Recorder is supplied;
   // both engines then see the same (possibly null) observer pointer.
   SimObserver observer;
-  SimObserver* obs = nullptr;
   if constexpr (obsv::kTraceCompiled) {
     if (config_.recorder != nullptr) {
-      observer.init(config_.recorder, topology_, fabric, mode);
-      obs = &observer;
+      observer.init(config_.recorder, topology_, run.f, config_.collective);
+      run.obs = &observer;
     }
   }
 
@@ -2146,7 +2091,7 @@ SimResult AllreduceSimulator::run(
   // accounting could not be normalized afterwards (fault-free runs are
   // normalized in closed form below, so they shard freely).
   if (config_.engine == SimEngine::kFastForward &&
-      config_.shard_threads != 1 && num_trees > 1 && obs == nullptr &&
+      config_.shard_threads != 1 && num_trees > 1 && run.obs == nullptr &&
       (bg_rates.empty() || config_.faults.empty())) {
     const auto groups = link_disjoint_tree_groups(topology_, trees_);
     if (groups.size() > 1) {
@@ -2158,23 +2103,15 @@ SimResult AllreduceSimulator::run(
       // cycle <= exit - 1 (event cycles are wake points the idle jump
       // never skips), so replaying those events here reproduces the
       // serial run's final down set exactly.
-      for (const auto& ev : fault.events) {
+      for (const auto& ev : run.fault.events) {
         if (ev.cycle < cycles) {
-          fault.edge_down[static_cast<std::size_t>(ev.edge)] =
+          run.fault.edge_down[static_cast<std::size_t>(ev.edge)] =
               ev.down ? 1 : 0;
         }
       }
     }
   }
-  if (!sharded) {
-    cycles = config_.engine == SimEngine::kReference
-                 ? run_reference_loop(fabric, config_, elements_per_tree,
-                                      result, tree_remaining, total_target,
-                                      fault, bg_rates, obs)
-                 : run_fast_loop(fabric, config_, elements_per_tree, result,
-                                 tree_remaining, total_target, fault,
-                                 bg_rates, obs);
-  }
+  if (!sharded) cycles = simulate(run);
 
   result.cycles = cycles;
   result.aggregate_bandwidth = static_cast<double>(result.total_elements) /
@@ -2189,8 +2126,8 @@ SimResult AllreduceSimulator::run(
   }
   // Links still down at run end: the set recovery must replan around.
   const auto& edges = topology_.edges();
-  for (std::size_t e = 0; e < fault.edge_down.size(); ++e) {
-    if (fault.edge_down[e]) result.links_down.push_back(edges[e]);
+  for (std::size_t e = 0; e < run.fault.edge_down.size(); ++e) {
+    if (run.fault.edge_down[e]) result.links_down.push_back(edges[e]);
   }
   if (!bg_rates.empty()) {
     // Every link was up for the whole run when no down/up events exist
@@ -2216,8 +2153,8 @@ SimResult AllreduceSimulator::run(
     result.background_packets =
         result.background_flits / config_.background.packet_flits;
   }
-  if (obs != nullptr) obs->finalize(cycles, result);
-  return result;
+  if (run.obs != nullptr) run.obs->finalize(cycles, result);
+  return std::move(result);
 }
 
 }  // namespace pfar::simnet

@@ -98,6 +98,14 @@ struct SimResult {
   std::vector<graph::Edge> links_down;
 };
 
+/// A fresh result for one run over `elements_per_tree.size()` trees and
+/// `num_dlinks` directed links: every per-tree and per-link vector sized
+/// and zeroed (-1 for the never-reached cycles), values_correct = true
+/// and total_elements summed. Throws std::invalid_argument on a negative
+/// count. The common setup of the cycle engines and the flow tier.
+SimResult sized_sim_result(const std::vector<long long>& elements_per_tree,
+                           int num_dlinks);
+
 /// Partition of `trees` into link-disjoint groups: trees sharing any
 /// physical edge always land in the same group (union-find over edge
 /// ownership), so two groups never place a VC on the same directed link and

@@ -79,17 +79,7 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
   const bool want_reduce = mode != Collective::kBroadcast;
   const bool want_bcast = mode != Collective::kReduce;
 
-  SimResult result;
-  result.values_correct = true;
-  result.tree_finish_cycle.assign(static_cast<std::size_t>(num_trees), 0);
-  result.tree_first_delivery.assign(static_cast<std::size_t>(num_trees), -1);
-  result.tree_failed.assign(static_cast<std::size_t>(num_trees), 0);
-  result.tree_fail_cycle.assign(static_cast<std::size_t>(num_trees), -1);
-  result.tree_completed.assign(static_cast<std::size_t>(num_trees), 0);
-  result.link_flits.assign(static_cast<std::size_t>(num_dlinks), 0);
-  result.link_queue_hwm.assign(static_cast<std::size_t>(num_dlinks), 0);
-  result.link_bg_flits.assign(static_cast<std::size_t>(num_dlinks), 0);
-  result.link_dropped_flits.assign(static_cast<std::size_t>(num_dlinks), 0);
+  SimResult result = sized_sim_result(elements_per_tree, num_dlinks);
 
   const auto dlink_of = [&](int src, int dst) {
     return 2 * topology.edge_id(src, dst) + (src > dst ? 1 : 0);
@@ -154,12 +144,8 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
   // cycle engines.
   const int header = config.packet_header_flits;
   const int payload = config.packet_payload;
-  long long total_target = 0;
   for (int t = 0; t < num_trees; ++t) {
     const long long m = elements_per_tree[static_cast<std::size_t>(t)];
-    if (m < 0) throw std::invalid_argument("run: negative element count");
-    result.total_elements += m;
-    total_target += m;
     result.tree_completed[static_cast<std::size_t>(t)] = m;
     if (m == 0) continue;
     const long long flits = m + (m + payload - 1) / payload * header;
@@ -169,7 +155,7 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
           tree_dlinks[static_cast<std::size_t>(i)])] += flits;
     }
   }
-  if (total_target == 0) return result;
+  if (result.total_elements == 0) return result;
 
   // --- Measure phase: fluid timeline. Each active tree streams at its
   // max-min fair flit rate (progressive filling: all rates rise together,

@@ -10,6 +10,8 @@ the gate green:
   * missing point        -> exit 1 (a shrunken grid is a regression)
   * schema drift         -> exit 1 (a dropped deterministic field fails,
                             an added field is ignored -- forward compatible)
+  * fault-degradation    -> points keyed on the failure count, recovery
+                            figures gated exactly
   * malformed input      -> exit 2 (usage error, distinct from regression)
   * identical runs       -> exit 0
 
@@ -164,6 +166,32 @@ class CheckBenchRegressionTest(unittest.TestCase):
                               extra_args=("--wall-tolerance", "3.0"))
         self.assertEqual(rc, 1, out)
         self.assertIn("total_wall_ms", out)
+
+    def test_fault_degradation_points_key_on_failures(self):
+        # Two points differ only in the failure count: they must be keyed
+        # apart, and every recovery figure is gated exactly.
+        def doc():
+            return {"points": [
+                {"q": 5, "failures": 1, "healthy_bw": 2.5, "repack_bw": 2.0,
+                 "keep_bw": 2.5, "repack_trees": 2, "healthy_cycles": 612,
+                 "recovery_cycles": 1734, "detection_cycle": 1023,
+                 "chunks_replayed": 420, "wall_ms": 24.5},
+                {"q": 5, "failures": 2, "healthy_bw": 2.5, "repack_bw": 2.0,
+                 "keep_bw": 1.5, "repack_trees": 2, "healthy_cycles": 0,
+                 "recovery_cycles": 0, "detection_cycle": 0,
+                 "chunks_replayed": 0, "wall_ms": 1.7},
+            ]}
+        rc, out = run_checker(doc(), doc())
+        self.assertEqual(rc, 0, out)
+        for field, delta in (("healthy_cycles", 1), ("recovery_cycles", 1),
+                             ("detection_cycle", 1), ("chunks_replayed", 1),
+                             ("repack_trees", 1), ("repack_bw", 0.5),
+                             ("keep_bw", 0.5)):
+            cur = doc()
+            cur["points"][0][field] += delta
+            rc, out = run_checker(doc(), cur)
+            self.assertEqual(rc, 1, field + ": " + out)
+            self.assertIn(field, out)
 
     def test_malformed_current_is_a_usage_error(self):
         rc, out = run_checker(baseline_doc(), "{not json")

@@ -15,11 +15,13 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "collectives/innetwork.hpp"
 #include "core/planner.hpp"
 #include "core/sweep_runner.hpp"
+#include "sim_result_eq.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "util/rng.hpp"
 
@@ -83,45 +85,14 @@ simnet::SimResult run_engine(int q, core::Solution sol,
   return sim.run(plan.split(m));
 }
 
+// The engines differ only in data layout and scheduling, so the fast
+// engine must reproduce the reference engine on every SimResult field.
 void expect_identical(int q, core::Solution sol, const simnet::SimConfig& cfg,
                       long long m) {
-  const auto fast =
-      run_engine(q, sol, cfg, m, simnet::SimEngine::kFastForward);
-  const auto ref = run_engine(q, sol, cfg, m, simnet::SimEngine::kReference);
-  EXPECT_EQ(fast.cycles, ref.cycles);
-  EXPECT_EQ(fast.total_elements, ref.total_elements);
-  EXPECT_EQ(fast.values_correct, ref.values_correct);
-  EXPECT_EQ(fast.num_vcs, ref.num_vcs);
-  EXPECT_EQ(fast.max_vcs_per_link, ref.max_vcs_per_link);
-  EXPECT_EQ(fast.max_reductions_per_input_port,
-            ref.max_reductions_per_input_port);
-  EXPECT_EQ(fast.max_vc_occupancy, ref.max_vc_occupancy);
-  EXPECT_EQ(fast.link_flits, ref.link_flits);
-  EXPECT_EQ(fast.link_queue_hwm, ref.link_queue_hwm);
-  EXPECT_EQ(fast.link_bg_flits, ref.link_bg_flits);
-  EXPECT_EQ(fast.background_packets, ref.background_packets);
-  EXPECT_EQ(fast.background_flits, ref.background_flits);
-  EXPECT_EQ(fast.tree_finish_cycle, ref.tree_finish_cycle);
-  EXPECT_EQ(fast.tree_first_delivery, ref.tree_first_delivery);
-  EXPECT_DOUBLE_EQ(fast.aggregate_bandwidth, ref.aggregate_bandwidth);
-}
-
-// Full bit-identity between two runs (same engine or different): every
-// field that run() fills, including the background-traffic accounting.
-void expect_same_result(const simnet::SimResult& a,
-                        const simnet::SimResult& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.total_elements, b.total_elements);
-  EXPECT_EQ(a.values_correct, b.values_correct);
-  EXPECT_EQ(a.max_vc_occupancy, b.max_vc_occupancy);
-  EXPECT_EQ(a.link_flits, b.link_flits);
-  EXPECT_EQ(a.link_queue_hwm, b.link_queue_hwm);
-  EXPECT_EQ(a.link_bg_flits, b.link_bg_flits);
-  EXPECT_EQ(a.background_packets, b.background_packets);
-  EXPECT_EQ(a.background_flits, b.background_flits);
-  EXPECT_EQ(a.tree_finish_cycle, b.tree_finish_cycle);
-  EXPECT_EQ(a.tree_first_delivery, b.tree_first_delivery);
-  EXPECT_DOUBLE_EQ(a.aggregate_bandwidth, b.aggregate_bandwidth);
+  test_support::expect_same_sim_result(
+      run_engine(q, sol, cfg, m, simnet::SimEngine::kFastForward),
+      run_engine(q, sol, cfg, m, simnet::SimEngine::kReference),
+      "q=" + std::to_string(q));
 }
 
 TEST(FastForwardEngine, MatchesReferenceAcrossCollectiveModes) {
@@ -183,7 +154,7 @@ TEST(BackgroundTraffic, ZeroLoadIsBitIdenticalToQuiet) {
           run_engine(5, core::Solution::kLowDepth, quiet, 800, engine);
       const auto b =
           run_engine(5, core::Solution::kLowDepth, zero, 800, engine);
-      expect_same_result(a, b);
+      test_support::expect_same_sim_result(a, b, "zero load");
       EXPECT_EQ(b.background_flits, 0);
       EXPECT_EQ(b.background_packets, 0);
       for (long long f : b.link_bg_flits) EXPECT_EQ(f, 0);
@@ -249,7 +220,8 @@ TEST(BackgroundTraffic, ShardedMatchesSerial) {
     cfg.shard_threads = shards;
     const auto sharded = run_engine(7, core::Solution::kLowDepth, cfg, 2000,
                                     simnet::SimEngine::kFastForward);
-    expect_same_result(base, sharded);
+    test_support::expect_same_sim_result(
+        base, sharded, "shards=" + std::to_string(shards));
   }
 }
 

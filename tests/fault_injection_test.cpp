@@ -15,12 +15,14 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "collectives/innetwork.hpp"
 #include "collectives/resilient.hpp"
 #include "core/planner.hpp"
 #include "graph/graph.hpp"
+#include "sim_result_eq.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "simnet/config.hpp"
 
@@ -54,31 +56,10 @@ simnet::SimResult run_engine(const core::AllreducePlan& plan,
 // bit-identical between the engines.
 void expect_identical(const core::AllreducePlan& plan,
                       const simnet::SimConfig& cfg, long long m,
-                      const char* label) {
-  const auto fast =
-      run_engine(plan, cfg, m, simnet::SimEngine::kFastForward);
-  const auto ref = run_engine(plan, cfg, m, simnet::SimEngine::kReference);
-  EXPECT_EQ(fast.cycles, ref.cycles) << label;
-  EXPECT_EQ(fast.total_elements, ref.total_elements) << label;
-  EXPECT_EQ(fast.values_correct, ref.values_correct) << label;
-  EXPECT_EQ(fast.max_vc_occupancy, ref.max_vc_occupancy) << label;
-  EXPECT_EQ(fast.link_flits, ref.link_flits) << label;
-  EXPECT_EQ(fast.tree_finish_cycle, ref.tree_finish_cycle) << label;
-  EXPECT_EQ(fast.tree_first_delivery, ref.tree_first_delivery) << label;
-  EXPECT_EQ(fast.tree_failed, ref.tree_failed) << label;
-  EXPECT_EQ(fast.tree_fail_cycle, ref.tree_fail_cycle) << label;
-  EXPECT_EQ(fast.tree_completed, ref.tree_completed) << label;
-  EXPECT_EQ(fast.dropped_packets, ref.dropped_packets) << label;
-  EXPECT_EQ(fast.dropped_flits, ref.dropped_flits) << label;
-  EXPECT_EQ(fast.link_dropped_flits, ref.link_dropped_flits) << label;
-  EXPECT_EQ(fast.canceled_packets, ref.canceled_packets) << label;
-  EXPECT_EQ(fast.canceled_flits, ref.canceled_flits) << label;
-  ASSERT_EQ(fast.links_down.size(), ref.links_down.size()) << label;
-  for (std::size_t i = 0; i < fast.links_down.size(); ++i) {
-    EXPECT_EQ(fast.links_down[i], ref.links_down[i]) << label;
-  }
-  EXPECT_DOUBLE_EQ(fast.aggregate_bandwidth, ref.aggregate_bandwidth)
-      << label;
+                      const std::string& label) {
+  test_support::expect_same_sim_result(
+      run_engine(plan, cfg, m, simnet::SimEngine::kFastForward),
+      run_engine(plan, cfg, m, simnet::SimEngine::kReference), label);
 }
 
 class FaultDifferential : public ::testing::TestWithParam<int> {};
@@ -130,6 +111,60 @@ TEST_P(FaultDifferential, EnginesBitIdenticalAcrossScriptMatrix) {
     cfg.faults.events.push_back({0, b.u, b.v, simnet::FaultType::kLinkDown});
     cfg.faults.events.push_back({1, b.u, b.v, simnet::FaultType::kLinkUp});
     expect_identical(plan, cfg, m, "instant_blip");
+  }
+}
+
+// Background traffic under a fault script: a down link freezes its drain
+// accumulator and stops being an idle-jump wake point, a flaky link keeps
+// draining while it drops packets. Both engines, and a sharded request
+// against the serial run, must agree on every field.
+TEST_P(FaultDifferential, BackgroundTrafficComposesWithFaults) {
+  const int q = GetParam();
+  if (q > 7) GTEST_SKIP() << "matrix kept to about 1 s";
+  const auto plan = core::AllreducePlanner(q).build();
+  const graph::Edge a = used_link(plan, 0);
+  for (const auto pattern : {simnet::TrafficPattern::kPermutation,
+                             simnet::TrafficPattern::kUniform}) {
+    for (const double load : {0.25, 0.5}) {
+      for (const int script : {0, 1, 2}) {
+        simnet::SimConfig cfg;
+        cfg.progress_timeout = 800;
+        cfg.background.pattern = pattern;
+        cfg.background.load = load;
+        cfg.background.seed = 11;
+        if (script == 0) {  // down then up
+          cfg.faults.events.push_back(
+              {150, a.u, a.v, simnet::FaultType::kLinkDown});
+          cfg.faults.events.push_back(
+              {400, a.u, a.v, simnet::FaultType::kLinkUp});
+        } else if (script == 1) {  // permanent down
+          cfg.faults.events.push_back(
+              {200, a.u, a.v, simnet::FaultType::kLinkDown});
+        } else {  // flaky link
+          cfg.faults.flaky_links.emplace_back(a.u, a.v);
+          cfg.faults.flaky_seed = 7;
+          cfg.faults.flaky_drop_permille = 30;
+        }
+        const std::string label =
+            "q=" + std::to_string(q) + " load=" + std::to_string(load) +
+            " uniform=" +
+            std::to_string(pattern == simnet::TrafficPattern::kUniform) +
+            " script=" + std::to_string(script);
+        cfg.shard_threads = 1;
+        const auto serial =
+            run_engine(plan, cfg, 1000, simnet::SimEngine::kFastForward);
+        EXPECT_GT(serial.background_flits, 0) << label;
+        test_support::expect_same_sim_result(
+            serial,
+            run_engine(plan, cfg, 1000, simnet::SimEngine::kReference),
+            label + " reference");
+        cfg.shard_threads = 4;
+        test_support::expect_same_sim_result(
+            serial,
+            run_engine(plan, cfg, 1000, simnet::SimEngine::kFastForward),
+            label + " shard_threads=4");
+      }
+    }
   }
 }
 

@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "collectives/innetwork.hpp"
 #include "core/planner.hpp"
+#include "sim_result_eq.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "simnet/config.hpp"
 
@@ -29,39 +31,13 @@ simnet::SimResult run_sharded(int q, core::Solution sol, simnet::SimConfig cfg,
   return sim.run(plan.split(m));
 }
 
-void expect_result_eq(const simnet::SimResult& a, const simnet::SimResult& b,
-                      int threads) {
-  EXPECT_EQ(a.cycles, b.cycles) << "threads=" << threads;
-  EXPECT_EQ(a.total_elements, b.total_elements) << "threads=" << threads;
-  EXPECT_EQ(a.values_correct, b.values_correct) << "threads=" << threads;
-  EXPECT_EQ(a.max_vc_occupancy, b.max_vc_occupancy) << "threads=" << threads;
-  EXPECT_EQ(a.num_vcs, b.num_vcs) << "threads=" << threads;
-  EXPECT_EQ(a.max_vcs_per_link, b.max_vcs_per_link) << "threads=" << threads;
-  EXPECT_EQ(a.max_reductions_per_input_port, b.max_reductions_per_input_port)
-      << "threads=" << threads;
-  EXPECT_EQ(a.link_flits, b.link_flits) << "threads=" << threads;
-  EXPECT_EQ(a.tree_finish_cycle, b.tree_finish_cycle) << "threads=" << threads;
-  EXPECT_EQ(a.tree_first_delivery, b.tree_first_delivery)
-      << "threads=" << threads;
-  EXPECT_EQ(a.tree_completed, b.tree_completed) << "threads=" << threads;
-  EXPECT_EQ(a.tree_failed, b.tree_failed) << "threads=" << threads;
-  EXPECT_EQ(a.tree_fail_cycle, b.tree_fail_cycle) << "threads=" << threads;
-  EXPECT_EQ(a.dropped_packets, b.dropped_packets) << "threads=" << threads;
-  EXPECT_EQ(a.dropped_flits, b.dropped_flits) << "threads=" << threads;
-  EXPECT_EQ(a.canceled_packets, b.canceled_packets) << "threads=" << threads;
-  EXPECT_EQ(a.canceled_flits, b.canceled_flits) << "threads=" << threads;
-  EXPECT_EQ(a.link_dropped_flits, b.link_dropped_flits)
-      << "threads=" << threads;
-  EXPECT_EQ(a.links_down, b.links_down) << "threads=" << threads;
-  EXPECT_DOUBLE_EQ(a.aggregate_bandwidth, b.aggregate_bandwidth)
-      << "threads=" << threads;
-}
-
 void expect_thread_invariant(int q, core::Solution sol,
                              const simnet::SimConfig& cfg, long long m) {
   const auto serial = run_sharded(q, sol, cfg, m, 1);
   for (int threads : {2, 4, 8}) {
-    expect_result_eq(run_sharded(q, sol, cfg, m, threads), serial, threads);
+    test_support::expect_same_sim_result(run_sharded(q, sol, cfg, m, threads),
+                                         serial,
+                                         "threads=" + std::to_string(threads));
   }
 }
 
@@ -93,7 +69,7 @@ TEST(ShardedDeterminism, MatchesUnshardedAndReference) {
                                    2000, 4);
   const auto serial = run_sharded(7, core::Solution::kEdgeDisjoint, cfg,
                                   2000, 1);
-  expect_result_eq(sharded, serial, 4);
+  test_support::expect_same_sim_result(sharded, serial, "threads=4");
 
   simnet::SimConfig ref_cfg;
   ref_cfg.engine = simnet::SimEngine::kReference;
@@ -166,8 +142,9 @@ TEST(ShardedDeterminism, DefaultThreadWidthBitIdentical) {
   simnet::SimConfig cfg;
   const auto serial = run_sharded(5, core::Solution::kEdgeDisjoint, cfg,
                                   1000, 1);
-  expect_result_eq(run_sharded(5, core::Solution::kEdgeDisjoint, cfg, 1000, 0),
-                   serial, 0);
+  test_support::expect_same_sim_result(
+      run_sharded(5, core::Solution::kEdgeDisjoint, cfg, 1000, 0), serial,
+      "threads=0");
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "simnet/allreduce_sim.hpp"
 #include "trees/spanning_tree.hpp"
 
@@ -158,10 +160,29 @@ TEST(SimulatorTest, RejectsBadInputs) {
   EXPECT_THROW(AllreduceSimulator(g, {TreeEmbedding{0, {1, 0, 1}}},
                                   SimConfig{}),
                std::invalid_argument);
+  const TreeEmbedding line{0, {-1, 0, 1}};
   SimConfig bad;
   bad.vc_credits = 0;
-  EXPECT_THROW(AllreduceSimulator(g, {TreeEmbedding{0, {-1, 0, 1}}}, bad),
-               std::invalid_argument);
+  EXPECT_THROW(AllreduceSimulator(g, {line}, bad), std::invalid_argument);
+  // Range checks must reject NaN and negative limits, not let them reach
+  // run() (a NaN hotspot fraction used to abort inside the background
+  // rate computation; a NaN load ran as a quiet network; a negative
+  // stall_limit or max_cycles failed at cycle 0).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  SimConfig hotspot;
+  hotspot.background.pattern = TrafficPattern::kHotspot;
+  hotspot.background.load = 0.3;
+  hotspot.background.hotspot_fraction = nan;
+  EXPECT_THROW(AllreduceSimulator(g, {line}, hotspot), std::invalid_argument);
+  SimConfig nan_load;
+  nan_load.background.load = nan;
+  EXPECT_THROW(AllreduceSimulator(g, {line}, nan_load), std::invalid_argument);
+  SimConfig stall;
+  stall.stall_limit = -1;
+  EXPECT_THROW(AllreduceSimulator(g, {line}, stall), std::invalid_argument);
+  SimConfig limit;
+  limit.max_cycles = -1;
+  EXPECT_THROW(AllreduceSimulator(g, {line}, limit), std::invalid_argument);
   AllreduceSimulator ok(g, {TreeEmbedding{0, {-1, 0, 1}}}, SimConfig{});
   EXPECT_THROW(ok.run({1, 2}), std::invalid_argument);  // size mismatch
   EXPECT_THROW(ok.run({-5}), std::invalid_argument);

@@ -49,7 +49,13 @@ EXACT_POINT_FIELDS = ("alg1_bw", "sim_bw", "efficiency",
                       # on every machine (docs/training_replay.md).
                       "time_to_epoch", "overlap_eff", "exposed_comm_cycles",
                       "comm_wall_cycles", "comm_busy_cycles",
-                      "total_flits", "buckets", "slow_permille")
+                      "total_flits", "buckets", "slow_permille",
+                      # Fault-degradation bench: the static repack curve
+                      # and the resilient driver's recovery run are
+                      # deterministic (docs/resilience.md).
+                      "healthy_cycles", "recovery_cycles",
+                      "detection_cycle", "chunks_replayed", "repack_bw",
+                      "keep_bw", "repack_trees")
 WALL_POINT_FIELDS = ("wall_ms", "seed_ms", "cold_ms", "warm_ms")
 WALL_TOP_FIELDS = ("total_wall_ms",)
 # Relative slack for "exact" floats: they are deterministic but printed
@@ -74,7 +80,8 @@ def point_key(point):
     """
     return tuple(point.get(k)
                  for k in ("engine", "q", "solution", "m", "policy", "load",
-                           "jobs", "pattern", "overlap", "straggler")
+                           "jobs", "pattern", "overlap", "straggler",
+                           "failures")
                  if k in point)
 
 
