@@ -1135,20 +1135,16 @@ struct ReferenceEngine {
 // Horizon engine (SimEngine::kFastForward). Bit-identical to the reference
 // engine, with four structural changes to its data path and scheduling:
 //
-//  * arrivals and credit returns are scheduled on a time-indexed wheel (all
-//    landing times are `now + link_latency`, so the wheel has latency + 1
-//    buckets and each cycle drains exactly one) instead of scanning every
-//    VC every cycle, with at most one wake-up per (VC, cycle);
-//  * broadcast replication visits only (node, tree) engines that an event
-//    re-armed (packet arrival, root-queue push, fork-slot drain) instead of
-//    all n * num_trees engines, and reduce readiness is an incrementally
-//    maintained ready-children counter instead of a per-probe child scan;
-//  * packet payloads live in a slab arena (fixed stride = packet_payload,
-//    free-list recycling) and every queue — receive buffer + in-flight
-//    pipeline (one combined ring per VC), credit returns, fork stages, root
-//    turnaround — is a fixed-capacity power-of-two ring over flat arrays.
-//    All of them are bounded by the credit/fork-buffer limits, so nothing
-//    allocates after setup, and no phase touches the Fabric after setup;
+//  * landings and credit returns are count-carrying events on a wheel of
+//    latency + 1 buckets (each matures exactly link_latency cycles after it
+//    is scheduled, so each cycle drains one bucket and needs no per-packet
+//    timestamp), with at most one event per (VC, cycle);
+//  * the hot state is one 64-byte record per VC and per (node, tree)
+//    engine; broadcast replication visits only engines an event re-armed,
+//    and reduce readiness is a maintained ready-children counter;
+//  * payloads live in a slab arena and every queue is a power-of-two ring
+//    over flat arrays, sized by its credit/fork-buffer limit or the tree's
+//    packet count, whichever is smaller: nothing allocates after setup;
 //  * a cycle in which nothing moved and no event landed is provably
 //    followed by identical no-op cycles until the next in-flight landing,
 //    token-bucket recharge or run wake point (Run::wake_point), so `now`
@@ -1156,10 +1152,39 @@ struct ReferenceEngine {
 // ---------------------------------------------------------------------------
 struct HorizonEngine {
   // A packet: its slab in the arena and its element count.
-  struct Ref {
-    std::int32_t slab;
-    std::int32_t size;
+  struct Ref { std::int32_t slab, size; };
+
+  // One VC. Its receive buffer and in-flight pipeline share one FIFO ring
+  // (pcap slots from id * pcap): entries [0, ready) have landed (the
+  // reference engine's `recv`), entries [ready, total) are on the wire.
+  struct alignas(64) Vc {
+    long long last_wake = -1;      // cycle that scheduled its newest event
+    std::uint32_t wake_index = 0;  // that event's index in its bucket
+    std::uint32_t head = 0, total = 0, ready = 0;
+    std::uint32_t credits_inflight = 0;  // returning to the sender
+    std::int32_t credits = 0;
+    std::int32_t src_state = 0, dst_state = 0;  // sender, receiver Node
+    std::int32_t dlink = 0;
+    std::int32_t stage = -1;  // bcast only: the sender's fork stage
+    bool is_reduce = false, poisoned = false;
+    bool canceled = false;  // its tree was retracted
   };
+
+  // One (node, tree) engine: elements injected, incremental operand and
+  // expected-value generators, the ready-children counter, its children's
+  // reduce VCs and fork stages (child_vcs / fork stage ids from
+  // stage_base) and the parent-side broadcast VC.
+  struct alignas(64) Node {
+    long long target = 0, injected = 0;
+    std::int64_t inj_next = 0, exp_next = 0;
+    std::int32_t ready = 0, nchild = 0, stage_base = 0;
+    std::int32_t parent_vc = -1;
+    std::int32_t tree = 0;
+  };
+
+  // A wheel event: `landings` packets land on VC `vc` and `credits`
+  // credits return to its sender, all in the bucket's cycle.
+  struct Event { std::int32_t vc; std::uint32_t landings, credits; };
 
   explicit HorizonEngine(Run& r);
 
@@ -1176,58 +1201,34 @@ struct HorizonEngine {
   // Slab arena; a consumed packet's slab goes on the free list for reuse.
   std::vector<std::int64_t> arena;
   std::vector<std::int32_t> free_slabs;
-  std::int32_t num_slabs = 0;
 
-  // Per-VC rings. The receive buffer and the in-flight pipeline share one
-  // FIFO ring: entries [0, ready) have landed (the reference engine's
-  // `recv`), entries [ready, total) are still on the wire with their
-  // landing times in ring_time. recv + in-flight together never exceed
-  // vc_credits (a send consumes a credit that only returns after the pop),
-  // so a bit_ceil(vc_credits) ring never overflows; same for the credit-
-  // return ring. Per-VC metadata is flattened out of VcState.
-  const std::uint32_t pcap;
-  const std::uint32_t pmask;
-  std::vector<long long> ring_time;
-  std::vector<Ref> ring_ref;
-  std::vector<long long> credit_time;
-  std::vector<std::uint32_t> rhead, rtotal, rready, chead, ccount;
-  std::vector<std::int32_t> credits;
-  std::vector<char> vc_is_reduce, vc_poisoned;
-  std::vector<std::int32_t> vc_src_state, vc_dst_state, vc_dlink, vc_stage;
+  std::vector<Vc> vcs;
+  const std::uint32_t pcap, pmask;
+  std::vector<Ref> ring;
 
-  // Per-(node, tree) engine state: ready-children counter, elements
-  // injected, incremental operand/expected-value generators, the
-  // reduce-input VC ids (CSR over stage_base, which doubles as the
-  // per-state fork-stage base) and the parent-side broadcast VC.
-  std::vector<std::int32_t> eng_ready, eng_nchild, stage_base, child_vcs,
-      eng_parent_vc;
-  std::vector<long long> eng_target, eng_injected;
-  std::vector<std::int64_t> inj_next, exp_next;
-  std::int64_t exp_slope = 0;
+  std::vector<Node> nodes;
+  std::vector<std::int32_t> child_vcs;
   std::vector<std::int32_t> root_state;  // per tree
+  std::int64_t exp_slope = 0;  // expected-value step per element
 
   // Directed-link CSR plus the links carrying at least one VC: arbitration
   // and the idle jump walk only populated links.
   std::vector<std::int32_t> lv_base, lv_ids, active_dlinks;
   std::vector<int> rr;  // round-robin pointer per directed link
 
-  // Fork-stage rings (global stage id = stage_base[state] + child slot)
-  // and the root turnaround ring per tree.
-  const std::uint32_t fcap;
-  const std::uint32_t fmask;
+  // Fork-stage rings (global stage id = stage_base + child slot) and the
+  // root turnaround ring per tree.
+  const std::uint32_t fcap, fmask;
   std::vector<Ref> fork_ring;
   std::vector<std::uint32_t> fhead, fcount;
   std::vector<Ref> root_ring;
   std::vector<std::uint32_t> rq_head, rq_count;
 
-  // Event wheel: every data landing and credit return is scheduled at
-  // now + latency, so pending wake-ups live in (now, now + latency] and a
+  // Event wheel: pending events mature in (now, now + latency], so a
   // bit_ceil(latency + 1)-bucket wheel indexed by time & mask is
-  // collision-free; last_wake dedupes to one entry per (VC, cycle).
+  // collision-free.
   const std::uint32_t wmask;
-  std::vector<std::vector<std::int32_t>> wheel;
-  std::vector<long long> last_wake;
-  long long pending_events = 0;
+  std::vector<std::vector<Event>> wheel;
 
   // Broadcast engines an event may have unblocked since they last ran.
   std::vector<char> bcast_active;
@@ -1236,11 +1237,8 @@ struct HorizonEngine {
   // Cycles until the earliest token-starved link can grant again.
   long long recharge_offset = LLONG_MAX;
 
-  std::size_t vslot(std::size_t id, std::uint32_t k) const {
-    return id * pcap + ((rhead[id] + k) & pmask);
-  }
-  std::size_t cslot(std::size_t id, std::uint32_t k) const {
-    return id * pcap + ((chead[id] + k) & pmask);
+  Ref& vslot(std::size_t id, std::uint32_t k) {
+    return ring[id * pcap + ((vcs[id].head + k) & pmask)];
   }
   std::size_t fslot(std::size_t sid, std::uint32_t k) const {
     return sid * fcap + ((fhead[sid] + k) & fmask);
@@ -1259,15 +1257,34 @@ struct HorizonEngine {
       return s;
     }
     arena.resize(arena.size() + static_cast<std::size_t>(stride));
-    return num_slabs++;
+    return static_cast<std::int32_t>(arena.size() / static_cast<std::size_t>(stride)) - 1;
   }
 
-  void schedule_wakeup(std::size_t id) {
-    if (last_wake[id] == run.now) return;
-    last_wake[id] = run.now;
-    wheel[static_cast<std::size_t>((run.now + latency) & wmask)].push_back(
-        static_cast<std::int32_t>(id));
-    ++pending_events;
+  // VC `id`'s event maturing latency cycles from now, created on first use.
+  Event& event(std::size_t id) {
+    Vc& vc = vcs[id];
+    auto& bucket = wheel[static_cast<std::size_t>((run.now + latency) & wmask)];
+    if (vc.last_wake != run.now) {
+      vc.last_wake = run.now;
+      vc.wake_index = static_cast<std::uint32_t>(bucket.size());
+      bucket.push_back(Event{static_cast<std::int32_t>(id), 0, 0});
+    }
+    return bucket[vc.wake_index];
+  }
+
+  // Voids the pending events of every VC matching `pred` whose packets and
+  // credits the caller has just reclaimed. The emptied events stay in
+  // their buckets, so the idle jump still wakes where it would have.
+  template <class Pred>
+  void void_events(Pred pred) {
+    for (auto& bucket : wheel) {
+      for (Event& ev : bucket) {
+        if (pred(vcs[static_cast<std::size_t>(ev.vc)])) {
+          ev.landings = 0;
+          ev.credits = 0;
+        }
+      }
+    }
   }
 
   void activate_bcast(std::int32_t state_idx) {
@@ -1278,44 +1295,44 @@ struct HorizonEngine {
   }
 
   // Returns a consumed packet's credit to VC `id`'s sender — immediately if
-  // the link is down (as the reference engine does), else via the
-  // credit-return ring after link_latency.
+  // the link is down (as the reference engine does), else latency cycles
+  // later.
   void return_credit(std::size_t id) {
-    if (!run.link_up(vc_dlink[id])) {
-      ++credits[id];
+    Vc& vc = vcs[id];
+    if (!run.link_up(vc.dlink)) {
+      ++vc.credits;
       return;
     }
-    credit_time[cslot(id, ccount[id])] = run.now + latency;
-    ++ccount[id];
-    schedule_wakeup(id);
+    ++vc.credits_inflight;
+    ++event(id).credits;
   }
 
-  // Readiness of VC `id` to send; side-effect-free, so the credit-stall
-  // probe may call it freely.
-  bool vc_ready(std::size_t id) const {
-    if (vc_is_reduce[id]) {
-      const std::size_t si = static_cast<std::size_t>(vc_src_state[id]);
-      return eng_injected[si] < eng_target[si] &&
-             eng_ready[si] == eng_nchild[si];
+  // Readiness of `vc` to send; side-effect-free, so the credit-stall probe
+  // may call it freely.
+  bool vc_ready(const Vc& vc) const {
+    if (vc.is_reduce) {
+      const Node& s = nodes[static_cast<std::size_t>(vc.src_state)];
+      return s.injected < s.target && s.ready == s.nchild;
     }
-    return fcount[static_cast<std::size_t>(vc_stage[id])] > 0;
+    return fcount[static_cast<std::size_t>(vc.stage)] > 0;
   }
 
-  // Marks VC `id` poisoned, withdrawing it from its consumer's ready count
+  // Marks `vc` poisoned, withdrawing it from its consumer's ready count
   // (the reference engine treats a poisoned VC as never ready).
-  void poison_vc(std::size_t id) {
-    if (vc_poisoned[id]) return;
-    vc_poisoned[id] = 1;
-    if (vc_is_reduce[id] && rready[id] > 0) {
-      --eng_ready[static_cast<std::size_t>(vc_dst_state[id])];
+  void poison_vc(Vc& vc) {
+    if (vc.poisoned) return;
+    vc.poisoned = true;
+    if (vc.is_reduce && vc.ready > 0) {
+      --nodes[static_cast<std::size_t>(vc.dst_state)].ready;
     }
   }
 
   Ref pop_landed(std::size_t id) {
-    const Ref head = ring_ref[vslot(id, 0)];
-    rhead[id] = (rhead[id] + 1) & pmask;
-    --rtotal[id];
-    --rready[id];
+    const Ref head = vslot(id, 0);
+    Vc& vc = vcs[id];
+    vc.head = (vc.head + 1) & pmask;
+    --vc.total;
+    --vc.ready;
     return_credit(id);
     return head;
   }
@@ -1325,33 +1342,33 @@ struct HorizonEngine {
     ++fcount[sid];
   }
 
-  // A fresh packet holding the next local operands of state `si`.
-  // local_value is linear in the element index, so each engine keeps the
-  // next value and bumps it by the constant stride per element.
-  Ref fill_local(std::size_t si) {
-    const long long size = std::min<long long>(
-        config.packet_payload, eng_target[si] - eng_injected[si]);
+  // A fresh packet holding the next local operands of `s`. local_value is
+  // linear in the element index, so each engine keeps the next value and
+  // bumps it by the constant stride per element.
+  Ref fill_local(Node& s) {
+    const long long size =
+        std::min<long long>(config.packet_payload, s.target - s.injected);
     const std::int32_t slab = alloc_slab();
     std::int64_t* out = payload(slab);
-    std::int64_t value = inj_next[si];
+    std::int64_t value = s.inj_next;
     for (long long i = 0; i < size; ++i) {
       out[i] = value;
       value += kElemStride;
     }
-    inj_next[si] = value;
-    eng_injected[si] += size;
+    s.inj_next = value;
+    s.injected += size;
     return Ref{slab, static_cast<std::int32_t>(size)};
   }
 
   Ref make_reduce_packet(std::int32_t state_idx) {
-    const std::size_t si = static_cast<std::size_t>(state_idx);
-    const Ref packet = fill_local(si);
+    Node& s = nodes[static_cast<std::size_t>(state_idx)];
+    const Ref packet = fill_local(s);
     std::int64_t* out = payload(packet.slab);
-    for (std::int32_t c = 0; c < eng_nchild[si]; ++c) {
+    for (std::int32_t c = 0; c < s.nchild; ++c) {
       const std::size_t cvc = static_cast<std::size_t>(
-          child_vcs[static_cast<std::size_t>(stage_base[si] + c)]);
+          child_vcs[static_cast<std::size_t>(s.stage_base + c)]);
       const Ref head = pop_landed(cvc);
-      if (rready[cvc] == 0) --eng_ready[si];
+      if (vcs[cvc].ready == 0) --s.ready;
       if (head.size != packet.size) {
         throw std::logic_error("reduce packet misalignment");
       }
@@ -1360,54 +1377,58 @@ struct HorizonEngine {
       free_slabs.push_back(head.slab);
     }
     PFAR_OBS(on_reduce_packet(
-        state_idx / n,
-        state_idx == root_state[static_cast<std::size_t>(state_idx / n)] &&
-            eng_injected[si] >= eng_target[si],
+        s.tree,
+        state_idx == root_state[static_cast<std::size_t>(s.tree)] &&
+            s.injected >= s.target,
         run.now));
     return packet;
   }
 
   // Checks a delivered packet against the incrementally generated
   // expected values (the same integers as recomputing from scratch).
-  void deliver(int tree, std::size_t si, Ref packet) {
+  void deliver(std::size_t si, Ref packet) {
+    Node& s = nodes[si];
     const std::int64_t* p = payload(packet.slab);
-    std::int64_t expected = exp_next[si];
+    std::int64_t expected = s.exp_next;
     for (std::int32_t i = 0; i < packet.size; ++i) {
       if (p[i] != expected) run.result.values_correct = false;
       expected += exp_slope;
     }
-    exp_next[si] = expected;
-    run.record_delivery(tree, si, packet.size);
+    s.exp_next = expected;
+    run.record_delivery(s.tree, si, packet.size);
   }
 
-  // The reference engine's drop_edge on the flat rings.
+  // The reference engine's drop_edge on the flat rings; the reclaimed
+  // packets' and credits' events are voided.
   void drop_edge(int eid) {
     for (int d : {2 * eid, 2 * eid + 1}) {
       for (std::int32_t lk = lv_base[static_cast<std::size_t>(d)];
            lk < lv_base[static_cast<std::size_t>(d) + 1]; ++lk) {
         const std::size_t i = static_cast<std::size_t>(lv_ids[static_cast<std::size_t>(lk)]);
-        PFAR_ENSURE(credits[i] + static_cast<std::int32_t>(ccount[i]) +
-                            static_cast<std::int32_t>(rtotal[i]) ==
+        Vc& vc = vcs[i];
+        PFAR_ENSURE(vc.credits + static_cast<std::int32_t>(vc.credits_inflight) +
+                            static_cast<std::int32_t>(vc.total) ==
                         config.vc_credits,
-                    i, credits[i], ccount[i], rtotal[i]);
-        const std::uint32_t inflight = rtotal[i] - rready[i];
+                    i, vc.credits, vc.credits_inflight, vc.total);
+        const std::uint32_t inflight = vc.total - vc.ready;
         if (inflight > 0) {
-          for (std::uint32_t k = rready[i]; k < rtotal[i]; ++k) {
-            const Ref r = ring_ref[vslot(i, k)];
+          for (std::uint32_t k = vc.ready; k < vc.total; ++k) {
+            const Ref r = vslot(i, k);
             run.count_drop(d, r.size);
             free_slabs.push_back(r.slab);
           }
-          rtotal[i] = rready[i];
-          credits[i] += static_cast<std::int32_t>(inflight);
-          poison_vc(i);
+          vc.total = vc.ready;
+          vc.credits += static_cast<std::int32_t>(inflight);
+          poison_vc(vc);
         }
-        credits[i] += static_cast<std::int32_t>(ccount[i]);
-        ccount[i] = 0;
-        PFAR_ENSURE(credits[i] + static_cast<std::int32_t>(rready[i]) ==
+        vc.credits += static_cast<std::int32_t>(vc.credits_inflight);
+        vc.credits_inflight = 0;
+        PFAR_ENSURE(vc.credits + static_cast<std::int32_t>(vc.ready) ==
                         config.vc_credits,
-                    i, credits[i], rready[i]);
+                    i, vc.credits, vc.ready);
       }
     }
+    void_events([eid](const Vc& vc) { return vc.dlink >> 1 == eid; });
   }
 
   // The reference engine's retract_tree on the flat rings. Retraction
@@ -1417,24 +1438,27 @@ struct HorizonEngine {
       run.retract(r.size);
       free_slabs.push_back(r.slab);
     };
-    for (std::size_t i = 0; i < vc_src_state.size(); ++i) {
-      if (vc_src_state[i] / n != t) continue;
-      for (std::uint32_t k = 0; k < rtotal[i]; ++k) retract(ring_ref[vslot(i, k)]);
+    for (std::size_t i = 0; i < vcs.size(); ++i) {
+      Vc& vc = vcs[i];
+      if (vc.src_state / n != t) continue;
+      for (std::uint32_t k = 0; k < vc.total; ++k) retract(vslot(i, k));
       // Withdraw from the consumer's ready count before clearing, exactly
       // once, matching the poisoned/ready bookkeeping.
-      if (vc_is_reduce[i] && rready[i] > 0 && !vc_poisoned[i]) {
-        --eng_ready[static_cast<std::size_t>(vc_dst_state[i])];
+      if (vc.is_reduce && vc.ready > 0 && !vc.poisoned) {
+        --nodes[static_cast<std::size_t>(vc.dst_state)].ready;
       }
-      rtotal[i] = 0;
-      rready[i] = 0;
-      ccount[i] = 0;
-      credits[i] = config.vc_credits;
-      vc_poisoned[i] = 0;
+      vc.total = 0;
+      vc.ready = 0;
+      vc.credits_inflight = 0;
+      vc.credits = config.vc_credits;
+      vc.poisoned = false;
+      vc.canceled = true;
     }
+    void_events([](const Vc& vc) { return vc.canceled; });
     for (int v = 0; v < n; ++v) {
-      const std::size_t si = static_cast<std::size_t>(t * n + v);
-      for (std::int32_t c = 0; c < eng_nchild[si]; ++c) {
-        const std::size_t sid = static_cast<std::size_t>(stage_base[si] + c);
+      const Node& s = nodes[static_cast<std::size_t>(t * n + v)];
+      for (std::int32_t c = 0; c < s.nchild; ++c) {
+        const std::size_t sid = static_cast<std::size_t>(s.stage_base + c);
         for (std::uint32_t k = 0; k < fcount[sid]; ++k) retract(fork_ring[fslot(sid, k)]);
         fcount[sid] = 0;
       }
@@ -1444,36 +1468,29 @@ struct HorizonEngine {
     rq_count[ti] = 0;
   }
 
-  // 1. Arrivals: only VCs with a wake-up scheduled for this cycle. A
-  // landing advances the ready boundary of the combined ring; a matured
-  // credit return bumps the sender-side credit count.
+  // 1. Arrivals: this cycle's bucket. Landings advance the ready boundary
+  // of the VC's combined ring; credits go back to the sender.
   void arrivals() {
     auto& bucket = wheel[static_cast<std::size_t>(run.now & wmask)];
-    if (bucket.empty()) return;
-    pending_events -= static_cast<long long>(bucket.size());
-    for (const std::int32_t vid : bucket) {
-      const std::size_t id = static_cast<std::size_t>(vid);
-      const std::uint32_t before = rready[id];
-      while (rready[id] < rtotal[id] &&
-             ring_time[vslot(id, rready[id])] <= run.now) {
-        ++rready[id];
-      }
-      if (rready[id] != before) {
-        run.record_arrival(vc_dlink[id], static_cast<int>(rready[id]));
+    for (const Event& ev : bucket) {
+      Vc& vc = vcs[static_cast<std::size_t>(ev.vc)];
+      if (ev.landings > 0) {
+        const bool was_empty = vc.ready == 0;
+        vc.ready += ev.landings;
+        run.record_arrival(vc.dlink, static_cast<int>(vc.ready));
         // A poisoned VC's landings still occupy the buffer (occupancy
         // above) but never make it ready (its consumer must not fire).
-        if (!vc_poisoned[id]) {
-          if (!vc_is_reduce[id]) {
-            activate_bcast(vc_dst_state[id]);
-          } else if (before == 0) {
-            ++eng_ready[static_cast<std::size_t>(vc_dst_state[id])];
+        if (!vc.poisoned) {
+          if (!vc.is_reduce) {
+            activate_bcast(vc.dst_state);
+          } else if (was_empty) {
+            ++nodes[static_cast<std::size_t>(vc.dst_state)].ready;
           }
         }
       }
-      while (ccount[id] > 0 && credit_time[cslot(id, 0)] <= run.now) {
-        chead[id] = (chead[id] + 1) & pmask;
-        --ccount[id];
-        ++credits[id];
+      if (ev.credits > 0) {
+        vc.credits += static_cast<std::int32_t>(ev.credits);
+        vc.credits_inflight -= ev.credits;
         run.progressed = true;
       }
     }
@@ -1486,21 +1503,19 @@ struct HorizonEngine {
       const std::size_t ti = static_cast<std::size_t>(t);
       if (run.tree_canceled[ti]) continue;
       const std::int32_t si = root_state[ti];
-      const std::size_t s = static_cast<std::size_t>(si);
+      Node& s = nodes[static_cast<std::size_t>(si)];
       for (int fire = 0; fire < bw; ++fire) {
-        if (eng_injected[s] >= eng_target[s]) break;
+        if (s.injected >= s.target) break;
         if (mode != Collective::kReduce &&
             static_cast<int>(rq_count[ti]) >= config.vc_credits) {
           break;
         }
-        if (mode != Collective::kBroadcast && eng_ready[s] != eng_nchild[s]) {
-          break;
-        }
+        if (mode != Collective::kBroadcast && s.ready != s.nchild) break;
         const Ref packet = mode == Collective::kBroadcast
                                ? fill_local(s)
                                : make_reduce_packet(si);
         if (mode == Collective::kReduce) {
-          deliver(t, s, packet);
+          deliver(static_cast<std::size_t>(si), packet);
           free_slabs.push_back(packet.slab);
         } else {
           root_ring[qslot(ti, rq_count[ti])] = packet;
@@ -1522,12 +1537,13 @@ struct HorizonEngine {
     for (std::int32_t idx : bcast_current) bcast_active[static_cast<std::size_t>(idx)] = 0;
     for (const std::int32_t idx : bcast_current) {
       const std::size_t si = static_cast<std::size_t>(idx);
-      const std::size_t t = static_cast<std::size_t>(idx / n);
+      const Node& s = nodes[si];
+      const std::size_t t = static_cast<std::size_t>(s.tree);
       if (run.tree_canceled[t]) continue;
       const bool is_root = (idx == root_state[t]);
-      if (!is_root && eng_parent_vc[si] < 0) continue;
-      const std::int32_t sb = stage_base[si];
-      const std::int32_t forks = eng_nchild[si];
+      if (!is_root && s.parent_vc < 0) continue;
+      const std::int32_t sb = s.stage_base;
+      const std::int32_t forks = s.nchild;
       bool blocked = false;
       int moves = 0;
       for (; moves < bw; ++moves) {
@@ -1546,12 +1562,12 @@ struct HorizonEngine {
           rq_head[t] = (rq_head[t] + 1) & pmask;
           --rq_count[t];
         } else {
-          const std::size_t pvc = static_cast<std::size_t>(eng_parent_vc[si]);
-          blocked = vc_poisoned[pvc] || rready[pvc] == 0;  // next arrival
+          const std::size_t pvc = static_cast<std::size_t>(s.parent_vc);
+          blocked = vcs[pvc].poisoned || vcs[pvc].ready == 0;  // next arrival
           if (blocked) break;
           packet = pop_landed(pvc);
         }
-        deliver(static_cast<int>(t), si, packet);
+        deliver(si, packet);
         if (forks == 0) {
           free_slabs.push_back(packet.slab);
           continue;
@@ -1593,37 +1609,35 @@ struct HorizonEngine {
            ++probe, slot = slot + 1 == count ? 0 : slot + 1) {
         const std::size_t id =
             static_cast<std::size_t>(lv_ids[static_cast<std::size_t>(lb + slot)]);
-        if (run.tree_canceled[static_cast<std::size_t>(vc_src_state[id] / n)]) {
-          continue;
-        }
-        if (credits[id] <= 0) {
+        Vc& vc = vcs[id];
+        if (vc.canceled) continue;
+        if (vc.credits <= 0) {
           // Credit stall, counted at the same probe point as the reference
           // engine. Stall totals are engine-relative: this engine never
           // probes the cycles it fast-forwards over.
-          PFAR_OBS(on_credit_stall_if(vc_ready(id)));
+          PFAR_OBS(on_credit_stall_if(vc_ready(vc)));
           continue;
         }
-        if (!vc_ready(id)) continue;
+        if (!vc_ready(vc)) continue;
         rr[d] = slot + 1 == count ? 0 : slot + 1;
         Ref packet;
-        if (vc_is_reduce[id]) {
-          packet = make_reduce_packet(vc_src_state[id]);
+        if (vc.is_reduce) {
+          packet = make_reduce_packet(vc.src_state);
         } else {
-          const std::size_t sid = static_cast<std::size_t>(vc_stage[id]);
+          const std::size_t sid = static_cast<std::size_t>(vc.stage);
           packet = fork_ring[fslot(sid, 0)];
           fhead[sid] = (fhead[sid] + 1) & fmask;
           --fcount[sid];
-          activate_bcast(vc_src_state[id]);  // fork slot drained
+          activate_bcast(vc.src_state);  // fork slot drained
         }
-        --credits[id];
+        --vc.credits;
         if (run.grant(dl, packet.size)) {
-          ring_time[vslot(id, rtotal[id])] = run.now + latency;
-          ring_ref[vslot(id, rtotal[id])] = packet;
-          ++rtotal[id];
-          schedule_wakeup(id);
+          vslot(id, vc.total) = packet;
+          ++vc.total;
+          ++event(id).landings;
         } else {
           free_slabs.push_back(packet.slab);
-          poison_vc(id);
+          poison_vc(vc);
           return_credit(id);
         }
       }
@@ -1638,12 +1652,10 @@ struct HorizonEngine {
       return;
     }
     long long target = LLONG_MAX;
-    if (pending_events > 0) {
-      for (int d = 1; d <= latency; ++d) {
-        if (!wheel[static_cast<std::size_t>((run.now + d) & wmask)].empty()) {
-          target = run.now + d;
-          break;
-        }
+    for (int d = 1; d <= latency; ++d) {
+      if (!wheel[static_cast<std::size_t>((run.now + d) & wmask)].empty()) {
+        target = run.now + d;
+        break;
       }
     }
     if (recharge_offset != LLONG_MAX) {
@@ -1654,11 +1666,12 @@ struct HorizonEngine {
 
   // The reference engine's quiesce contracts on the flat rings.
   void quiesce() const {
-    for (std::size_t id = 0; id < rtotal.size(); ++id) {
-      PFAR_ENSURE(rtotal[id] == 0, id, rtotal[id]);
-      PFAR_ENSURE(credits[id] + static_cast<std::int32_t>(ccount[id]) ==
+    for (std::size_t id = 0; id < vcs.size(); ++id) {
+      const Vc& vc = vcs[id];
+      PFAR_ENSURE(vc.total == 0, id, vc.total);
+      PFAR_ENSURE(vc.credits + static_cast<std::int32_t>(vc.credits_inflight) ==
                       config.vc_credits,
-                  id, credits[id], ccount[id]);
+                  id, vc.credits, vc.credits_inflight);
     }
     for (std::size_t sid = 0; sid < fcount.size(); ++sid) {
       PFAR_ENSURE(fcount[sid] == 0, sid, fcount[sid]);
@@ -1668,6 +1681,15 @@ struct HorizonEngine {
     }
   }
 };
+
+// Ring capacity for a queue of at most `limit` packets of one tree: no
+// queue ever holds more packets than the largest tree sends.
+std::uint32_t ring_capacity(int limit, const std::vector<long long>& elements,
+                            int payload) {
+  long long packets = 1;
+  for (const long long m : elements) packets = std::max(packets, (m + payload - 1) / payload);
+  return std::bit_ceil(static_cast<std::uint32_t>(std::min<long long>(limit, packets)));
+}
 
 HorizonEngine::HorizonEngine(Run& r)
     : run(r),
@@ -1679,46 +1701,42 @@ HorizonEngine::HorizonEngine(Run& r)
       latency(r.config.link_latency),
       stride(r.config.packet_payload),
       mode(r.config.collective),
-      pcap(std::bit_ceil(static_cast<std::uint32_t>(r.config.vc_credits))),
+      vcs(r.f.vcs.size()),
+      pcap(ring_capacity(r.config.vc_credits, r.elements, stride)),
       pmask(pcap - 1),
-      fcap(std::bit_ceil(static_cast<std::uint32_t>(r.config.fork_buffer))),
+      nodes(r.f.state.size()),
+      fcap(ring_capacity(r.config.fork_buffer, r.elements, stride)),
       fmask(fcap - 1),
       wmask(std::bit_ceil(static_cast<std::uint32_t>(r.config.link_latency) +
                           1u) -
             1) {
   const Fabric& f = r.f;
-  const std::size_t num_vcs = f.vcs.size();
-  const std::size_t num_states = f.state.size();
   const std::size_t trees = static_cast<std::size_t>(num_trees);
   const std::size_t dlinks = static_cast<std::size_t>(f.num_dlinks);
 
-  ring_time.resize(num_vcs * pcap);
-  ring_ref.resize(num_vcs * pcap);
-  credit_time.resize(num_vcs * pcap);
-  for (auto* v : {&rhead, &rtotal, &rready, &chead, &ccount}) v->assign(num_vcs, 0);
-  credits.assign(num_vcs, config.vc_credits);
-  vc_poisoned.assign(num_vcs, 0);
-  last_wake.assign(num_vcs, -1);
-
-  eng_ready.assign(num_states, 0);
-  eng_nchild.resize(num_states);
-  eng_target.resize(num_states);
-  eng_injected.assign(num_states, 0);
-  eng_parent_vc.resize(num_states);
-  stage_base.assign(num_states + 1, 0);
-  for (std::size_t i = 0; i < num_states; ++i) {
-    eng_nchild[i] = static_cast<std::int32_t>(f.state[i].children.size());
-    eng_target[i] = r.elements[i / static_cast<std::size_t>(n)];
-    eng_parent_vc[i] = f.state[i].parent_bcast_vc;
-    stage_base[i + 1] = stage_base[i] + eng_nchild[i];
-  }
-  const std::size_t num_stages = static_cast<std::size_t>(stage_base[num_states]);
-  child_vcs.resize(num_stages);
-  for (std::size_t i = 0; i < num_states; ++i) {
-    for (std::size_t c = 0; c < f.state[i].child_reduce_vc.size(); ++c) {
-      child_vcs[static_cast<std::size_t>(stage_base[i]) + c] =
-          f.state[i].child_reduce_vc[c];
-    }
+  // Operand and expected-value generators. Values are functions of the
+  // GLOBAL tree index, so a sharded sub-run (tree_gid != identity) moves
+  // the very same integers as the serial run.
+  exp_slope = mode == Collective::kBroadcast
+                  ? kElemStride
+                  : static_cast<std::int64_t>(n) * kElemStride;
+  std::int32_t num_stages = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    Node& s = nodes[i];
+    const std::size_t tree = i / static_cast<std::size_t>(n);
+    const int gid = f.tree_gid[tree];
+    s.tree = static_cast<std::int32_t>(tree);
+    s.target = r.elements[tree];
+    s.nchild = static_cast<std::int32_t>(f.state[i].children.size());
+    s.parent_vc = f.state[i].parent_bcast_vc;
+    s.stage_base = num_stages;
+    num_stages += s.nchild;
+    s.inj_next = local_value(static_cast<int>(i % static_cast<std::size_t>(n)), gid, 0);
+    s.exp_next = mode == Collective::kBroadcast
+                     ? local_value(f.roots[tree], gid, 0)
+                     : sum_over_nodes(n, gid, 0);
+    const auto& cvcs = f.state[i].child_reduce_vc;
+    child_vcs.insert(child_vcs.end(), cvcs.begin(), cvcs.end());
   }
   root_state.resize(trees);
   for (int t = 0; t < num_trees; ++t) {
@@ -1726,8 +1744,23 @@ HorizonEngine::HorizonEngine(Run& r)
         t * n + f.roots[static_cast<std::size_t>(t)];
   }
 
+  ring.resize(vcs.size() * pcap);
+  for (std::size_t id = 0; id < vcs.size(); ++id) {
+    const VcState& src = f.vcs[id];
+    Vc& vc = vcs[id];
+    vc.credits = config.vc_credits;
+    vc.is_reduce = src.phase == Phase::kReduce;
+    vc.src_state = src.tree * n + src.src;
+    vc.dst_state = src.tree * n + src.dst;
+    vc.dlink = src.dlink;
+    if (src.phase == Phase::kBcast) {
+      vc.stage = nodes[static_cast<std::size_t>(vc.src_state)].stage_base +
+                 src.fork_index;
+    }
+  }
+
   lv_base.assign(dlinks + 1, 0);
-  lv_ids.resize(num_vcs);
+  lv_ids.resize(vcs.size());
   for (std::size_t dl = 0; dl < dlinks; ++dl) {
     const auto& ids = f.link_vcs[dl];
     lv_base[dl + 1] = lv_base[dl] + static_cast<std::int32_t>(ids.size());
@@ -1737,47 +1770,14 @@ HorizonEngine::HorizonEngine(Run& r)
   }
   rr.assign(dlinks, 0);
 
-  fork_ring.resize(num_stages * fcap);
-  fhead.assign(num_stages, 0);
-  fcount.assign(num_stages, 0);
-  vc_is_reduce.resize(num_vcs);
-  vc_src_state.resize(num_vcs);
-  vc_dst_state.resize(num_vcs);
-  vc_dlink.resize(num_vcs);
-  vc_stage.assign(num_vcs, -1);
-  for (std::size_t id = 0; id < num_vcs; ++id) {
-    const VcState& vc = f.vcs[id];
-    vc_is_reduce[id] = vc.phase == Phase::kReduce ? 1 : 0;
-    vc_src_state[id] = vc.tree * n + vc.src;
-    vc_dst_state[id] = vc.tree * n + vc.dst;
-    vc_dlink[id] = vc.dlink;
-    if (vc.phase == Phase::kBcast) {
-      vc_stage[id] = stage_base[static_cast<std::size_t>(vc_src_state[id])] +
-                     vc.fork_index;
-    }
-  }
+  fork_ring.resize(static_cast<std::size_t>(num_stages) * fcap);
+  fhead.assign(static_cast<std::size_t>(num_stages), 0);
+  fcount.assign(static_cast<std::size_t>(num_stages), 0);
   root_ring.resize(trees * pcap);
   rq_head.assign(trees, 0);
   rq_count.assign(trees, 0);
   wheel.resize(static_cast<std::size_t>(wmask) + 1);
-  bcast_active.assign(num_states, 0);
-
-  // Operand and expected-value generators. Values are functions of the
-  // GLOBAL tree index, so a sharded sub-run (tree_gid != identity) moves
-  // the very same integers as the serial run.
-  exp_slope = mode == Collective::kBroadcast
-                  ? kElemStride
-                  : static_cast<std::int64_t>(n) * kElemStride;
-  inj_next.resize(num_states);
-  exp_next.resize(num_states);
-  for (std::size_t i = 0; i < num_states; ++i) {
-    const std::size_t tree = i / static_cast<std::size_t>(n);
-    const int gid = f.tree_gid[tree];
-    inj_next[i] = local_value(static_cast<int>(i % static_cast<std::size_t>(n)), gid, 0);
-    exp_next[i] = mode == Collective::kBroadcast
-                      ? local_value(f.roots[tree], gid, 0)
-                      : sum_over_nodes(n, gid, 0);
-  }
+  bcast_active.assign(nodes.size(), 0);
 }
 
 // The one cycle loop both engines run: the run's cycle-top events, the

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "collectives/innetwork.hpp"
 #include "core/planner.hpp"
 #include "core/sweep_runner.hpp"
+#include "graph/graph.hpp"
 #include "sim_result_eq.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "util/rng.hpp"
@@ -131,6 +133,126 @@ TEST(FastForwardEngine, MatchesReferenceInStressCorners) {
     cfg.packet_payload = 8;
     cfg.packet_header_flits = 2;
     expect_identical(7, core::Solution::kLowDepth, cfg, 800);
+  }
+}
+
+// Credit and fork-buffer budgets far beyond what a run can buffer: the
+// horizon engine caps each ring at the tree's packet count, so it neither
+// allocates by the budget nor differs from the reference.
+TEST(FastForwardEngine, HugeCreditAndForkBudgetsMatchReference) {
+  for (const bool huge_credits : {true, false}) {
+    simnet::SimConfig cfg;
+    if (huge_credits) cfg.vc_credits = 1 << 30;
+    cfg.fork_buffer = 1 << 30;
+    expect_identical(3, core::Solution::kLowDepth, cfg, 100);
+  }
+}
+
+// --- Seeded engine-differential fuzzer -------------------------------------
+
+// A run's result, or the message of the exception it threw.
+struct Outcome {
+  simnet::SimResult result;
+  std::string error;
+};
+
+Outcome run_outcome(const core::AllreducePlan& plan, simnet::SimConfig cfg,
+                    long long m, simnet::SimEngine engine, int shards) {
+  cfg.engine = engine;
+  cfg.shard_threads = shards;
+  Outcome out;
+  try {
+    simnet::AllreduceSimulator sim(
+        plan.topology(), collectives::to_embeddings(plan.trees()), cfg);
+    out.result = sim.run(plan.split(m));
+  } catch (const std::exception& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+// A random link of a random tree of the plan, so a fault on it always
+// cuts some tree's datapath.
+graph::Edge random_tree_link(const core::AllreducePlan& plan, util::Rng& rng) {
+  const auto& trees = plan.trees();
+  const auto& parents =
+      trees[static_cast<std::size_t>(rng.next_below(trees.size()))].parents();
+  for (;;) {
+    const std::size_t v = static_cast<std::size_t>(rng.next_below(parents.size()));
+    if (parents[v] >= 0) return graph::Edge(static_cast<int>(v), parents[v]);
+  }
+}
+
+// Random configs over every knob the cycle engines read, with link blips
+// whose up event lands while the down instant's packets and credits would
+// still be on the wire (1..latency+1 cycles later), and optionally a flaky
+// link under a progress timeout. The horizon engine must reproduce the
+// reference on every SimResult field (or throw the same message), and a
+// sharded horizon run must reproduce the serial one. The exception text of
+// a sharded run may name its group's own clock, so there only the fact of
+// the throw is compared.
+TEST(EngineDifferentialFuzz, RandomConfigsAndLinkBlips) {
+  std::vector<core::AllreducePlan> plans;
+  for (const int q : {3, 4, 5}) {
+    for (const auto sol :
+         {core::Solution::kLowDepth, core::Solution::kEdgeDisjoint}) {
+      plans.push_back(core::AllreducePlanner(q).solution(sol).build());
+    }
+  }
+  const simnet::Collective modes[] = {simnet::Collective::kAllreduce,
+                                      simnet::Collective::kReduce,
+                                      simnet::Collective::kBroadcast};
+  util::Rng rng(20261017);
+  for (int iter = 0; iter < 480; ++iter) {
+    const auto& plan = plans[static_cast<std::size_t>(rng.next_below(plans.size()))];
+    simnet::SimConfig cfg;
+    cfg.link_latency = static_cast<int>(rng.next_below(9));
+    cfg.link_bandwidth = 1 + static_cast<int>(rng.next_below(3));
+    cfg.vc_credits = 1 + static_cast<int>(rng.next_below(24));
+    cfg.fork_buffer = 1 + static_cast<int>(rng.next_below(4));
+    cfg.packet_payload = 1 + static_cast<int>(rng.next_below(4));
+    cfg.packet_header_flits = static_cast<int>(rng.next_below(2));
+    cfg.collective = modes[rng.next_below(3)];
+    cfg.stall_limit = 1500;
+    const long long m = 20 + static_cast<long long>(rng.next_below(300));
+    const int blips = static_cast<int>(rng.next_below(3));
+    for (int b = 0; b < blips; ++b) {
+      const graph::Edge e = random_tree_link(plan, rng);
+      const long long down = static_cast<long long>(rng.next_below(300));
+      const long long up =
+          down + 1 +
+          static_cast<long long>(rng.next_below(
+              static_cast<std::uint64_t>(cfg.link_latency) + 1));
+      cfg.faults.events.push_back(
+          {down, e.u, e.v, simnet::FaultType::kLinkDown});
+      cfg.faults.events.push_back({up, e.u, e.v, simnet::FaultType::kLinkUp});
+    }
+    if (rng.next_below(4) == 0) {
+      const graph::Edge e = random_tree_link(plan, rng);
+      cfg.faults.flaky_links.emplace_back(e.u, e.v);
+      cfg.faults.flaky_seed = rng.next();
+      cfg.faults.flaky_drop_permille = 20 + static_cast<int>(rng.next_below(200));
+    }
+    if (!cfg.faults.flaky_links.empty() || rng.next_below(2) == 0) {
+      cfg.progress_timeout = 100 + static_cast<long long>(rng.next_below(400));
+    }
+    const std::string label = "iter " + std::to_string(iter);
+
+    const Outcome fast =
+        run_outcome(plan, cfg, m, simnet::SimEngine::kFastForward, 1);
+    const Outcome ref =
+        run_outcome(plan, cfg, m, simnet::SimEngine::kReference, 1);
+    EXPECT_EQ(fast.error, ref.error) << label;
+    if (fast.error.empty() && ref.error.empty()) {
+      test_support::expect_same_sim_result(fast.result, ref.result, label);
+    }
+    const Outcome sharded =
+        run_outcome(plan, cfg, m, simnet::SimEngine::kFastForward, 4);
+    EXPECT_EQ(sharded.error.empty(), fast.error.empty()) << label;
+    if (fast.error.empty() && sharded.error.empty()) {
+      test_support::expect_same_sim_result(sharded.result, fast.result,
+                                           label + " sharded");
+    }
   }
 }
 
