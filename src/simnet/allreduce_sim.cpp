@@ -1,6 +1,7 @@
 #include "simnet/allreduce_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <climits>
 #include <cstdint>
@@ -147,8 +148,9 @@ FaultState prepare_faults(const graph::Graph& topology,
 }
 
 // One virtual channel: the unidirectional, per-tree, per-phase logical
-// datapath on a physical link, with its own receiver buffer and credits
-// (Section 5.1's "VCs have disjoint resources").
+// datapath on a physical link (Section 5.1's "VCs have disjoint
+// resources"). Only its identity lives here; each engine keeps its own
+// receiver buffer, credits and wire pipeline per VC.
 struct VcState {
   int tree = -1;
   Phase phase = Phase::kReduce;
@@ -156,19 +158,10 @@ struct VcState {
   int dst = -1;
   int dlink = -1;
   int fork_index = -1;  // bcast only: child slot at src feeding this VC
-
-  std::deque<Packet> recv;  // receiver buffer, <= credits cap packets
-  int credits = 0;
-  std::deque<std::pair<long long, Packet>> data_inflight;
-  std::deque<long long> credit_inflight;
-  // A packet destined for this VC was lost, so its stream has a sequence
-  // gap: the VC stops presenting data (consuming past the gap would feed
-  // wrong operands into a reduction). Cleared only by tree cancellation.
-  bool poisoned = false;
 };
 
-// Per-(router, tree) state: reduction engine inputs/outputs and the
-// broadcast fork stage.
+// Per-(router, tree) wiring: the tree neighbours and the VCs that connect
+// the node's reduction engine and broadcast fork to them.
 struct NodeTreeState {
   int parent = -1;
   std::vector<int> children;
@@ -176,13 +169,11 @@ struct NodeTreeState {
   int parent_reduce_vc = -1;
   int parent_bcast_vc = -1;
   std::vector<int> child_bcast_vc;
-  std::vector<std::deque<Packet>> fork_stage;
-  std::deque<Packet> root_queue;  // root only: reduce -> bcast turnaround
-  long long injected = 0;  // local elements consumed by the engine
 };
 
-// The VC fabric and per-(node, tree) engine state both cycle-loop engines
-// run on, plus the tree roots.
+// The VC fabric and per-(node, tree) wiring both cycle-loop engines run
+// on, plus the tree roots. Per-run buffers belong to the engines, so a
+// horizon run never builds the reference engine's deques.
 struct Fabric {
   int n = 0;
   int num_trees = 0;
@@ -240,7 +231,6 @@ Fabric build_fabric(const graph::Graph& topology,
     vc.src = src;
     vc.dst = dst;
     vc.dlink = dlink_of(src, dst);
-    vc.credits = config.vc_credits;
     f.vcs.push_back(std::move(vc));
     const int id = static_cast<int>(f.vcs.size()) - 1;
     f.link_vcs[static_cast<std::size_t>(f.vcs[static_cast<std::size_t>(id)].dlink)].push_back(id);
@@ -264,7 +254,6 @@ Fabric build_fabric(const graph::Graph& topology,
           s.parent_bcast_vc = new_vc(t, Phase::kBcast, s.parent, v);
         }
       }
-      s.fork_stage.resize(s.children.size());
       s.child_bcast_vc.assign(s.children.size(), -1);
       s.child_reduce_vc.assign(s.children.size(), -1);
     }
@@ -341,6 +330,16 @@ struct SimObserver {
   long long canceled_flits = 0;
   long long fault_events = 0;
 
+  // The horizon engine's periodic jump: while taping, on_grant records
+  // the confirming period's busy-span updates; replay_tape then applies
+  // them once per skipped period, shifted, which is exactly what stepping
+  // those periods would have done. The other hooks need no replay: a
+  // repeated period cannot raise a high-water mark, sets no first or last
+  // reduce cycle (the jump stops short of every target), and its credit
+  // stalls are a counter the jump advances like any other.
+  bool taping = false;
+  std::vector<std::pair<int, long long>> tape;
+
   std::uint32_t n_busy = 0, n_reduce = 0, n_bcast = 0;
   std::uint32_t n_fault_down = 0, n_fault_up = 0, n_canceled = 0;
 
@@ -388,9 +387,23 @@ struct SimObserver {
   void on_grant(int dlink, long long now) {
     const std::size_t d = static_cast<std::size_t>(dlink);
     if (busy_last[d] == now) return;  // several grants in one cycle
+    if (taping) tape.emplace_back(dlink, now);
     if (busy_start[d] >= 0 && now != busy_last[d] + 1) close_busy_span(dlink);
     if (busy_start[d] < 0) busy_start[d] = now;
     busy_last[d] = now;
+  }
+
+  void start_tape() {
+    tape.clear();
+    taping = true;
+  }
+  void stop_tape() { taping = false; }
+
+  void replay_tape(long long periods, long long period) {
+    taping = false;
+    for (long long j = 1; j <= periods; ++j) {
+      for (const auto& [dlink, at] : tape) on_grant(dlink, at + j * period);
+    }
   }
 
   void on_queue_depth(int dlink, int depth) {
@@ -798,6 +811,7 @@ struct Run {
   void jump_to(long long target, const std::vector<std::int32_t>& links) {
     const long long skip = target - now - 1;
     if (skip > 0) {
+      result.idle_skipped_cycles += skip;
       for (const std::int32_t dl : links) {
         const std::size_t d = static_cast<std::size_t>(dl);
         tokens[d] = std::min(tokens[d] + skip * bw, token_cap);
@@ -817,18 +831,47 @@ struct Run {
 // none of its buffers or scheduling.
 // ---------------------------------------------------------------------------
 struct ReferenceEngine {
+  // One VC's receiver buffer, credits and wire pipelines (its identity is
+  // the Fabric's VcState of the same index).
+  struct Vc {
+    std::deque<Packet> recv;  // receiver buffer, <= credits cap packets
+    int credits = 0;
+    std::deque<std::pair<long long, Packet>> data_inflight;
+    std::deque<long long> credit_inflight;
+    // A packet destined for this VC was lost, so its stream has a sequence
+    // gap: the VC stops presenting data (consuming past the gap would feed
+    // wrong operands into a reduction). Cleared only by tree cancellation.
+    bool poisoned = false;
+  };
+
+  // One (node, tree) engine's local progress and broadcast buffers.
+  struct Node {
+    long long injected = 0;  // local elements consumed by the engine
+    std::vector<std::deque<Packet>> fork_stage;  // one per child
+    std::deque<Packet> root_queue;  // root only: reduce -> bcast turnaround
+  };
+
   explicit ReferenceEngine(Run& r)
       : run(r),
         obs(r.obs),
         f(r.f),
         config(r.config),
-        rr(static_cast<std::size_t>(r.f.num_dlinks), 0) {}
+        rr(static_cast<std::size_t>(r.f.num_dlinks), 0),
+        vcs(r.f.vcs.size()),
+        nodes(r.f.state.size()) {
+    for (Vc& vc : vcs) vc.credits = config.vc_credits;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      nodes[i].fork_stage.resize(f.state[i].children.size());
+    }
+  }
 
   Run& run;
   SimObserver* const obs;
   Fabric& f;
   const SimConfig& config;
   std::vector<int> rr;  // round-robin pointer per directed link
+  std::vector<Vc> vcs;      // per Fabric::vcs index
+  std::vector<Node> nodes;  // per Fabric::at index
 
   long long target(int tree) const {
     return run.elements[static_cast<std::size_t>(tree)];
@@ -840,10 +883,10 @@ struct ReferenceEngine {
                : sum_over_nodes(f.n, tree, k);
   }
 
-  // Every child has a packet ready for the reduction engine of `s`.
-  bool inputs_ready(const NodeTreeState& s) const {
-    for (int cvc : s.child_reduce_vc) {
-      const VcState& child = f.vcs[static_cast<std::size_t>(cvc)];
+  // Every child has a packet ready for the reduction engine of state `si`.
+  bool inputs_ready(std::size_t si) const {
+    for (int cvc : f.state[si].child_reduce_vc) {
+      const Vc& child = vcs[static_cast<std::size_t>(cvc)];
       if (child.poisoned || child.recv.empty()) return false;
     }
     return true;
@@ -851,20 +894,21 @@ struct ReferenceEngine {
 
   // Side-effect-free, so the credit-stall probe may call it freely.
   bool vc_ready(const VcState& vc) const {
-    const NodeTreeState& s = f.st(vc.src, vc.tree);
+    const std::size_t si = f.at(vc.src, vc.tree);
     if (vc.phase == Phase::kReduce) {
-      return s.injected < target(vc.tree) && inputs_ready(s);
+      return nodes[si].injected < target(vc.tree) && inputs_ready(si);
     }
-    return !s.fork_stage[static_cast<std::size_t>(vc.fork_index)].empty();
+    return !nodes[si].fork_stage[static_cast<std::size_t>(vc.fork_index)].empty();
   }
 
-  // Returns a consumed packet's credit to the VC's sender. Normally the
-  // credit travels back over the link (landing after link_latency); while
-  // the link is down it cannot, so it is restored immediately —
+  // Returns a consumed packet's credit to the sender of VC `id`. Normally
+  // the credit travels back over the link (landing after link_latency);
+  // while the link is down it cannot, so it is restored immediately —
   // conservation must hold through an outage, and a later drop_edge on
   // this link must not double-restore it.
-  void return_credit(VcState& vc) {
-    if (run.link_up(vc.dlink)) {
+  void return_credit(int id) {
+    Vc& vc = vcs[static_cast<std::size_t>(id)];
+    if (run.link_up(f.vcs[static_cast<std::size_t>(id)].dlink)) {
       vc.credit_inflight.push_back(run.now + config.link_latency);
     } else {
       ++vc.credits;
@@ -873,7 +917,7 @@ struct ReferenceEngine {
 
   // The next chunk of node `src`'s local operands for tree `tree`.
   Packet local_chunk(int src, int tree) {
-    NodeTreeState& s = f.st(src, tree);
+    Node& s = nodes[f.at(src, tree)];
     const long long size =
         std::min<long long>(config.packet_payload, target(tree) - s.injected);
     Packet packet(static_cast<std::size_t>(size));
@@ -889,21 +933,21 @@ struct ReferenceEngine {
   // because every stream chunks the same way.
   Packet make_reduce_packet(int src, int tree) {
     Packet packet = local_chunk(src, tree);
-    const NodeTreeState& s = f.st(src, tree);
-    for (int cvc : s.child_reduce_vc) {
-      VcState& child = f.vcs[static_cast<std::size_t>(cvc)];
+    const std::size_t si = f.at(src, tree);
+    for (int cvc : f.state[si].child_reduce_vc) {
+      Vc& child = vcs[static_cast<std::size_t>(cvc)];
       const Packet& head = child.recv.front();
       if (head.size() != packet.size()) {
         throw std::logic_error("reduce packet misalignment");
       }
       for (std::size_t i = 0; i < packet.size(); ++i) packet[i] += head[i];
       child.recv.pop_front();
-      return_credit(child);
+      return_credit(cvc);
     }
     PFAR_OBS(on_reduce_packet(
         tree,
         src == f.roots[static_cast<std::size_t>(tree)] &&
-            s.injected >= target(tree),
+            nodes[si].injected >= target(tree),
         run.now));
     return packet;
   }
@@ -924,13 +968,13 @@ struct ReferenceEngine {
   void drop_edge(int eid) {
     for (int d : {2 * eid, 2 * eid + 1}) {
       for (int id : f.link_vcs[static_cast<std::size_t>(d)]) {
-        VcState& vc = f.vcs[static_cast<std::size_t>(id)];
+        Vc& vc = vcs[static_cast<std::size_t>(id)];
         PFAR_ENSURE(vc.credits +
                             static_cast<int>(vc.credit_inflight.size() +
                                              vc.data_inflight.size() +
                                              vc.recv.size()) ==
                         config.vc_credits,
-                    vc.tree, vc.src, vc.dst, vc.credits);
+                    id, vc.credits);
         for (const auto& [when, packet] : vc.data_inflight) {
           static_cast<void>(when);
           run.count_drop(d, static_cast<long long>(packet.size()));
@@ -942,7 +986,7 @@ struct ReferenceEngine {
         vc.credit_inflight.clear();
         PFAR_ENSURE(vc.credits + static_cast<int>(vc.recv.size()) ==
                         config.vc_credits,
-                    vc.tree, vc.src, vc.dst, vc.credits, vc.recv.size());
+                    id, vc.credits, vc.recv.size());
       }
     }
   }
@@ -953,8 +997,9 @@ struct ReferenceEngine {
     const auto retract = [&](const Packet& p) {
       run.retract(static_cast<long long>(p.size()));
     };
-    for (auto& vc : f.vcs) {
-      if (vc.tree != t) continue;
+    for (std::size_t id = 0; id < vcs.size(); ++id) {
+      if (f.vcs[id].tree != t) continue;
+      Vc& vc = vcs[id];
       for (const auto& p : vc.recv) retract(p);
       for (const auto& [when, p] : vc.data_inflight) {
         static_cast<void>(when);
@@ -967,7 +1012,7 @@ struct ReferenceEngine {
       vc.poisoned = false;
     }
     for (int v = 0; v < f.n; ++v) {
-      NodeTreeState& s = f.st(v, t);
+      Node& s = nodes[f.at(v, t)];
       for (const auto& p : s.root_queue) retract(p);
       s.root_queue.clear();
       for (auto& stage : s.fork_stage) {
@@ -979,12 +1024,13 @@ struct ReferenceEngine {
 
   // 1. Arrivals: land in-flight packets and returned credits.
   void arrivals() {
-    for (auto& vc : f.vcs) {
+    for (std::size_t id = 0; id < vcs.size(); ++id) {
+      Vc& vc = vcs[id];
       while (!vc.data_inflight.empty() &&
              vc.data_inflight.front().first <= run.now) {
         vc.recv.push_back(std::move(vc.data_inflight.front().second));
         vc.data_inflight.pop_front();
-        run.record_arrival(vc.dlink, static_cast<int>(vc.recv.size()));
+        run.record_arrival(f.vcs[id].dlink, static_cast<int>(vc.recv.size()));
       }
       while (!vc.credit_inflight.empty() &&
              vc.credit_inflight.front() <= run.now) {
@@ -1002,14 +1048,15 @@ struct ReferenceEngine {
     for (int t = 0; t < f.num_trees; ++t) {
       if (run.tree_canceled[static_cast<std::size_t>(t)]) continue;
       const int root = f.roots[static_cast<std::size_t>(t)];
-      NodeTreeState& s = f.st(root, t);
+      const std::size_t si = f.at(root, t);
+      Node& s = nodes[si];
       for (int fire = 0; fire < config.link_bandwidth; ++fire) {
         if (s.injected >= target(t)) break;
         if (mode != Collective::kReduce &&
             static_cast<int>(s.root_queue.size()) >= config.vc_credits) {
           break;
         }
-        if (mode != Collective::kBroadcast && !inputs_ready(s)) break;
+        if (mode != Collective::kBroadcast && !inputs_ready(si)) break;
         Packet packet = mode == Collective::kBroadcast
                             ? local_chunk(root, t)
                             : make_reduce_packet(root, t);
@@ -1030,9 +1077,10 @@ struct ReferenceEngine {
     for (int t = 0; t < f.num_trees; ++t) {
       if (run.tree_canceled[static_cast<std::size_t>(t)]) continue;
       for (int v = 0; v < f.n; ++v) {
-        NodeTreeState& s = f.st(v, t);
+        const int parent_vc = f.st(v, t).parent_bcast_vc;
+        Node& s = nodes[f.at(v, t)];
         const bool is_root = (v == f.roots[static_cast<std::size_t>(t)]);
-        if (!is_root && s.parent_bcast_vc < 0) continue;
+        if (!is_root && parent_vc < 0) continue;
         for (int moves = 0; moves < config.link_bandwidth; ++moves) {
           const bool full = std::any_of(
               s.fork_stage.begin(), s.fork_stage.end(), [&](const auto& stage) {
@@ -1045,11 +1093,11 @@ struct ReferenceEngine {
             packet = std::move(s.root_queue.front());
             s.root_queue.pop_front();
           } else {
-            VcState& pvc = f.vcs[static_cast<std::size_t>(s.parent_bcast_vc)];
+            Vc& pvc = vcs[static_cast<std::size_t>(parent_vc)];
             if (pvc.poisoned || pvc.recv.empty()) break;
             packet = std::move(pvc.recv.front());
             pvc.recv.pop_front();
-            return_credit(pvc);
+            return_credit(parent_vc);
           }
           deliver(v, t, packet);
           const std::size_t forks = s.fork_stage.size();
@@ -1077,22 +1125,25 @@ struct ReferenceEngine {
            probe < probes && run.tokens[static_cast<std::size_t>(dl)] > 0;
            ++probe) {
         const int slot = (base + probe) % count;
-        VcState& vc = f.vcs[static_cast<std::size_t>(ids[static_cast<std::size_t>(slot)])];
-        if (run.tree_canceled[static_cast<std::size_t>(vc.tree)]) continue;
+        const int id = ids[static_cast<std::size_t>(slot)];
+        const VcState& info = f.vcs[static_cast<std::size_t>(id)];
+        Vc& vc = vcs[static_cast<std::size_t>(id)];
+        if (run.tree_canceled[static_cast<std::size_t>(info.tree)]) continue;
         if (vc.credits <= 0) {
           // Credit stall: data is ready but flow control blocks the grant.
-          PFAR_OBS(on_credit_stall_if(vc_ready(vc)));
+          PFAR_OBS(on_credit_stall_if(vc_ready(info)));
           continue;
         }
-        if (!vc_ready(vc)) continue;
+        if (!vc_ready(info)) continue;
         // True round-robin: rotate past the granted VC so competing trees
         // alternate even when packets occupy the link for several cycles.
         rr[static_cast<std::size_t>(dl)] = (slot + 1) % count;
         Packet packet;
-        if (vc.phase == Phase::kReduce) {
-          packet = make_reduce_packet(vc.src, vc.tree);
+        if (info.phase == Phase::kReduce) {
+          packet = make_reduce_packet(info.src, info.tree);
         } else {
-          auto& stage = f.st(vc.src, vc.tree).fork_stage[static_cast<std::size_t>(vc.fork_index)];
+          auto& stage = nodes[f.at(info.src, info.tree)]
+                            .fork_stage[static_cast<std::size_t>(info.fork_index)];
           packet = std::move(stage.front());
           stage.pop_front();
         }
@@ -1102,7 +1153,7 @@ struct ReferenceEngine {
                                         std::move(packet));
         } else {
           vc.poisoned = true;  // the stream now has a gap
-          return_credit(vc);
+          return_credit(id);
         }
       }
     }
@@ -1114,18 +1165,19 @@ struct ReferenceEngine {
   // or on the wire, and each VC's credits (held + still returning) must
   // conserve the configured budget.
   void quiesce() const {
-    for (const auto& vc : f.vcs) {
-      PFAR_ENSURE(vc.recv.empty() && vc.data_inflight.empty(), vc.tree,
-                  vc.src, vc.dst, vc.recv.size(), vc.data_inflight.size());
+    for (std::size_t id = 0; id < vcs.size(); ++id) {
+      const Vc& vc = vcs[id];
+      PFAR_ENSURE(vc.recv.empty() && vc.data_inflight.empty(), id,
+                  vc.recv.size(), vc.data_inflight.size());
       PFAR_ENSURE(vc.credits + static_cast<int>(vc.credit_inflight.size()) ==
                       config.vc_credits,
-                  vc.tree, vc.src, vc.dst, vc.credits,
-                  vc.credit_inflight.size());
+                  id, vc.credits, vc.credit_inflight.size());
     }
-    for (const auto& s : f.state) {
-      PFAR_ENSURE(s.root_queue.empty(), s.parent, s.root_queue.size());
+    for (std::size_t si = 0; si < nodes.size(); ++si) {
+      const Node& s = nodes[si];
+      PFAR_ENSURE(s.root_queue.empty(), si, s.root_queue.size());
       for (const auto& stage : s.fork_stage) {
-        PFAR_ENSURE(stage.empty(), s.parent, stage.size());
+        PFAR_ENSURE(stage.empty(), si, stage.size());
       }
     }
   }
@@ -1133,12 +1185,12 @@ struct ReferenceEngine {
 
 // ---------------------------------------------------------------------------
 // Horizon engine (SimEngine::kFastForward). Bit-identical to the reference
-// engine, with four structural changes to its data path and scheduling:
+// engine, with five structural changes to its data path and scheduling:
 //
-//  * landings and credit returns are count-carrying events on a wheel of
-//    latency + 1 buckets (each matures exactly link_latency cycles after it
-//    is scheduled, so each cycle drains one bucket and needs no per-packet
-//    timestamp), with at most one event per (VC, cycle);
+//  * landings and credit returns are count-carrying events in a FIFO of
+//    per-cycle buckets (each matures exactly link_latency cycles after it
+//    is scheduled, so buckets are created in maturity order and an event
+//    needs no per-packet timestamp), with at most one event per (VC, cycle);
 //  * the hot state is one 64-byte record per VC and per (node, tree)
 //    engine; broadcast replication visits only engines an event re-armed,
 //    and reduce readiness is a maintained ready-children counter;
@@ -1148,7 +1200,10 @@ struct ReferenceEngine {
 //  * a cycle in which nothing moved and no event landed is provably
 //    followed by identical no-op cycles until the next in-flight landing,
 //    token-bucket recharge or run wake point (Run::wake_point), so `now`
-//    jumps there in one step (Run::jump_to).
+//    jumps there in one step (Run::jump_to);
+//  * a steady state that repeats with a period P <= kMaxPeriod is confirmed
+//    over two full-state periods and then advanced J periods at once in
+//    closed form (watch_period / probe_period / jump_periods).
 // ---------------------------------------------------------------------------
 struct HorizonEngine {
   // A packet: its slab in the arena and its element count.
@@ -1182,9 +1237,27 @@ struct HorizonEngine {
     std::int32_t tree = 0;
   };
 
-  // A wheel event: `landings` packets land on VC `vc` and `credits`
-  // credits return to its sender, all in the bucket's cycle.
+  // A pending event: `landings` packets land on VC `vc` and `credits`
+  // credits return to its sender, all in its bucket's cycle.
   struct Event { std::int32_t vc; std::uint32_t landings, credits; };
+  struct Bucket {
+    long long cycle = 0;
+    std::vector<Event> events;
+  };
+
+  // The periodic jump's longest period and the signature repeats that
+  // start a confirmation (both in steps), and the back-off unit: after k
+  // consecutive failed confirmations the next waits kBackoff * 2^k steps.
+  static constexpr int kMaxPeriod = 64;
+  static constexpr int kRepeats = 4;
+  static constexpr long long kBackoff = 64;
+
+  // The run state at one cycle boundary, as visit_state splits it: the
+  // control values, then every linear field (counter, generator, payload
+  // element, cycle stamp) in visit order.
+  struct Snapshot {
+    std::vector<long long> ctrl, lin;
+  };
 
   explicit HorizonEngine(Run& r);
 
@@ -1224,11 +1297,18 @@ struct HorizonEngine {
   std::vector<Ref> root_ring;
   std::vector<std::uint32_t> rq_head, rq_count;
 
-  // Event wheel: pending events mature in (now, now + latency], so a
-  // bit_ceil(latency + 1)-bucket wheel indexed by time & mask is
-  // collision-free.
-  const std::uint32_t wmask;
-  std::vector<std::vector<Event>> wheel;
+  // Pending events: a power-of-two ring of buckets, oldest first, each
+  // reused with its capacity. Every event matures exactly `latency` cycles
+  // after the cycle that scheduled it and `now` only grows, so buckets are
+  // created in maturity order: arrivals pop from the front, the idle jump
+  // reads the next landing off the front, and the periodic jump shifts
+  // every pending cycle alike.
+  std::vector<Bucket> buckets;
+  std::size_t bhead = 0, bcount = 0;
+  // The newest bucket's events and cycle (-1 before the first), where
+  // this cycle's events go while newest_cycle == now + latency.
+  std::vector<Event>* newest = nullptr;
+  long long newest_cycle = -1;
 
   // Broadcast engines an event may have unblocked since they last ran.
   std::vector<char> bcast_active;
@@ -1236,6 +1316,23 @@ struct HorizonEngine {
 
   // Cycles until the earliest token-starved link can grant again.
   long long recharge_offset = LLONG_MAX;
+
+  // Periodic steady-state detection. Each step folds its grants, landings
+  // and clock advance into one signature; sig_run[P] counts the
+  // consecutive steps whose signature equals the one P steps earlier. A
+  // candidate period then goes through probe_period's full-state
+  // confirmation.
+  const bool periodic;  // off while a flaky link is configured
+  std::uint64_t cycle_sig = 0;
+  long long steps = 0;  // signatures recorded (drive-loop steps)
+  std::array<std::uint64_t, 2 * kMaxPeriod> sig_hist{};
+  std::array<std::int32_t, kMaxPeriod + 1> sig_run{};
+  int probe_p = 0;         // period under confirmation (steps), 0 = none
+  int probe_stage = 0;     // snapshots taken: 1 = A, 2 = A and B
+  long long probe_due = 0;   // step of the next snapshot
+  long long probe_hold = 0;  // no new confirmation before this step
+  int probe_failures = 0;
+  Snapshot snap_a, snap_b;  // snap_a.lin holds B - A once B is taken
 
   Ref& vslot(std::size_t id, std::uint32_t k) {
     return ring[id * pcap + ((vcs[id].head + k) & pmask)];
@@ -1260,16 +1357,37 @@ struct HorizonEngine {
     return static_cast<std::int32_t>(arena.size() / static_cast<std::size_t>(stride)) - 1;
   }
 
-  // VC `id`'s event maturing latency cycles from now, created on first use.
+  Bucket& bucket_at(std::size_t k) {
+    return buckets[(bhead + k) & (buckets.size() - 1)];
+  }
+
+  // VC `id`'s event maturing latency cycles from now, created on first use
+  // in the newest bucket, which every event scheduled this cycle shares.
   Event& event(std::size_t id) {
     Vc& vc = vcs[id];
-    auto& bucket = wheel[static_cast<std::size_t>((run.now + latency) & wmask)];
     if (vc.last_wake != run.now) {
+      if (newest_cycle != run.now + latency) open_bucket();
       vc.last_wake = run.now;
-      vc.wake_index = static_cast<std::uint32_t>(bucket.size());
-      bucket.push_back(Event{static_cast<std::int32_t>(id), 0, 0});
+      vc.wake_index = static_cast<std::uint32_t>(newest->size());
+      newest->push_back(Event{static_cast<std::int32_t>(id), 0, 0});
     }
-    return bucket[vc.wake_index];
+    return (*newest)[vc.wake_index];
+  }
+
+  // Appends the bucket maturing latency cycles from now, doubling the ring
+  // when it is full. Once per cycle at most, so kept out of line: inlined,
+  // it grows event() past what the compiler inlines into every grant.
+  [[gnu::noinline]] void open_bucket() {
+    if (bcount == buckets.size()) {
+      std::vector<Bucket> grown(2 * buckets.size());
+      for (std::size_t k = 0; k < bcount; ++k) grown[k] = std::move(bucket_at(k));
+      buckets.swap(grown);
+      bhead = 0;
+    }
+    Bucket& b = bucket_at(bcount++);
+    b.cycle = newest_cycle = run.now + latency;
+    b.events.clear();
+    newest = &b.events;
   }
 
   // Voids the pending events of every VC matching `pred` whose packets and
@@ -1277,8 +1395,8 @@ struct HorizonEngine {
   // their buckets, so the idle jump still wakes where it would have.
   template <class Pred>
   void void_events(Pred pred) {
-    for (auto& bucket : wheel) {
-      for (Event& ev : bucket) {
+    for (std::size_t k = 0; k < bcount; ++k) {
+      for (Event& ev : bucket_at(k).events) {
         if (pred(vcs[static_cast<std::size_t>(ev.vc)])) {
           ev.landings = 0;
           ev.credits = 0;
@@ -1468,33 +1586,39 @@ struct HorizonEngine {
     rq_count[ti] = 0;
   }
 
-  // 1. Arrivals: this cycle's bucket. Landings advance the ready boundary
-  // of the VC's combined ring; credits go back to the sender.
+  // 1. Arrivals: the buckets due by now (at most one, the front, except
+  // with zero latency). Landings advance the ready boundary of the VC's
+  // combined ring; credits go back to the sender.
   void arrivals() {
-    auto& bucket = wheel[static_cast<std::size_t>(run.now & wmask)];
-    for (const Event& ev : bucket) {
-      Vc& vc = vcs[static_cast<std::size_t>(ev.vc)];
-      if (ev.landings > 0) {
-        const bool was_empty = vc.ready == 0;
-        vc.ready += ev.landings;
-        run.record_arrival(vc.dlink, static_cast<int>(vc.ready));
-        // A poisoned VC's landings still occupy the buffer (occupancy
-        // above) but never make it ready (its consumer must not fire).
-        if (!vc.poisoned) {
-          if (!vc.is_reduce) {
-            activate_bcast(vc.dst_state);
-          } else if (was_empty) {
-            ++nodes[static_cast<std::size_t>(vc.dst_state)].ready;
+    std::uint64_t sig = 0;
+    while (bcount > 0 && bucket_at(0).cycle <= run.now) {
+      for (const Event& ev : bucket_at(0).events) {
+        Vc& vc = vcs[static_cast<std::size_t>(ev.vc)];
+        if (ev.landings > 0) {
+          sig += sig_term(static_cast<std::uint64_t>(ev.vc) << 20 ^ ev.landings);
+          const bool was_empty = vc.ready == 0;
+          vc.ready += ev.landings;
+          run.record_arrival(vc.dlink, static_cast<int>(vc.ready));
+          // A poisoned VC's landings still occupy the buffer (occupancy
+          // above) but never make it ready (its consumer must not fire).
+          if (!vc.poisoned) {
+            if (!vc.is_reduce) {
+              activate_bcast(vc.dst_state);
+            } else if (was_empty) {
+              ++nodes[static_cast<std::size_t>(vc.dst_state)].ready;
+            }
           }
         }
+        if (ev.credits > 0) {
+          vc.credits += static_cast<std::int32_t>(ev.credits);
+          vc.credits_inflight -= ev.credits;
+          run.progressed = true;
+        }
       }
-      if (ev.credits > 0) {
-        vc.credits += static_cast<std::int32_t>(ev.credits);
-        vc.credits_inflight -= ev.credits;
-        run.progressed = true;
-      }
+      bhead = (bhead + 1) & (buckets.size() - 1);
+      --bcount;
     }
-    bucket.clear();
+    cycle_sig += sig;
   }
 
   // 2. Root engines (O(num_trees), cheap enough to visit every cycle).
@@ -1591,6 +1715,7 @@ struct HorizonEngine {
   // via its link_up fault event, itself a wake point.
   void arbitrate() {
     recharge_offset = LLONG_MAX;
+    std::uint64_t sig = 0;
     for (const std::int32_t dl : active_dlinks) {
       const std::size_t d = static_cast<std::size_t>(dl);
       if (!run.open_link(dl)) continue;
@@ -1631,6 +1756,7 @@ struct HorizonEngine {
           activate_bcast(vc.src_state);  // fork slot drained
         }
         --vc.credits;
+        sig += sig_term(id);
         if (run.grant(dl, packet.size)) {
           vslot(id, vc.total) = packet;
           ++vc.total;
@@ -1642,26 +1768,279 @@ struct HorizonEngine {
         }
       }
     }
+    cycle_sig += sig;
   }
 
   // Next cycle: the following one after progress, else the idle jump to
   // the earliest in-flight landing, token recharge or run wake point.
+  // Either way the step is watched for a periodic steady state.
   void advance() {
+    const long long from = run.now;
     if (run.progressed) {
       ++run.now;
+    } else {
+      long long target = LLONG_MAX;
+      if (bcount > 0) target = std::max(bucket_at(0).cycle, run.now + 1);
+      if (recharge_offset != LLONG_MAX) {
+        target = std::min(target, run.now + recharge_offset);
+      }
+      run.jump_to(run.wake_point(target, active_dlinks), active_dlinks);
+    }
+    if (periodic) watch_period(run.now - from);
+  }
+
+  // --- Periodic steady-state jump ------------------------------------------
+  //
+  // After pipeline fill the fabric typically repeats a short pattern of
+  // steps (drive-loop iterations, each one stepped cycle or one idle jump)
+  // until the first stream nears its target. Three stages skip it exactly:
+  //
+  //  * detect (watch_period): each step's grants, landings and clock
+  //    advance fold into a signature; a period of P <= kMaxPeriod steps
+  //    whose signature has repeated kRepeats times is a candidate;
+  //  * confirm (probe_period): snapshots A, B, C taken P steps apart must
+  //    agree on every control value, and every linear field (counters,
+  //    generators, payload elements, cycle stamps, `now` itself) must move
+  //    by the same delta over A->B as over B->C. Control flow reads no
+  //    payload and compares counters only against targets the jump stays
+  //    below, so B->C ran A->B's control flow; the data path is linear, so
+  //    equal deltas in two consecutive periods hold in every later period;
+  //  * jump (jump_periods): J periods at once, J the largest count keeping
+  //    every stream below its target and every frozen deadline, scripted
+  //    fault event and the cycle limit beyond the skipped span. Each linear
+  //    field moves by J times its delta and the observer replays the
+  //    confirming period's busy-span updates J times.
+
+  // One grant's or landing's share of the step signature: a sum of mixed
+  // terms, accumulated in a register by the phase and added once.
+  static std::uint64_t sig_term(std::uint64_t x) {
+    return (x + 1) * 0x9e3779b97f4a7c15ULL;
+  }
+
+  void watch_period(long long step) {
+    const std::uint64_t sig =
+        (cycle_sig ^ static_cast<std::uint64_t>(step)) * 0x100000001b3ULL;
+    cycle_sig = 0;
+    const std::uint64_t mask = sig_hist.size() - 1;
+    const std::uint64_t at = static_cast<std::uint64_t>(steps++);
+    int found = 0;  // the smallest period repeated kRepeats times
+    for (int p = kMaxPeriod; p >= 1; --p) {
+      const std::size_t i = static_cast<std::size_t>(p);
+      sig_run[i] = sig_hist[(at - i) & mask] == sig ? sig_run[i] + 1 : 0;
+      if (sig_run[i] >= kRepeats * p) found = p;
+    }
+    sig_hist[at & mask] = sig;
+    if (probe_p > 0) {
+      if (steps == probe_due) probe_period();
+    } else if (found > 0 && steps >= probe_hold) {
+      probe_p = found;
+      probe_stage = 1;
+      probe_due = steps + found;
+      snapshot(snap_a);
+    }
+  }
+
+  void end_probe() {
+    probe_p = 0;
+    PFAR_OBS(stop_tape());
+  }
+
+  void fail_probe() {
+    end_probe();
+    probe_failures = std::min(probe_failures + 1, 16);
+    probe_hold = steps + (kBackoff << probe_failures);
+  }
+
+  // Snapshot B (compared with A) or C (confirmed, then the jump).
+  void probe_period() {
+    if (probe_stage == 1) {
+      snapshot(snap_b);
+      if (snap_b.ctrl != snap_a.ctrl) return fail_probe();
+      for (std::size_t i = 0; i < snap_b.lin.size(); ++i) {
+        snap_a.lin[i] = snap_b.lin[i] - snap_a.lin[i];
+      }
+      probe_stage = 2;
+      probe_due = steps + probe_p;
+      PFAR_OBS(start_tape());
       return;
     }
-    long long target = LLONG_MAX;
-    for (int d = 1; d <= latency; ++d) {
-      if (!wheel[static_cast<std::size_t>((run.now + d) & wmask)].empty()) {
-        target = run.now + d;
-        break;
+    const long long periods = confirmed_periods();
+    if (periods <= 0) return fail_probe();
+    jump_periods(periods);
+  }
+
+  // Sized by a counting pass first: two vectors grown by doubling in
+  // lockstep leave heap holes that later runs' allocations cannot reuse,
+  // so a process running many jumps would keep growing its heap.
+  void snapshot(Snapshot& s) {
+    std::size_t nc = 0, nl = 0;
+    const auto count = [&](const auto&, long long) { ++nl; };
+    visit_state([&](long long) { ++nc; }, count, count);
+    s.ctrl.clear();
+    s.lin.clear();
+    s.ctrl.reserve(nc);
+    s.lin.reserve(nl);
+    const auto lin = [&](const auto& x, long long) { s.lin.push_back(x); };
+    visit_state([&](long long v) { s.ctrl.push_back(v); }, lin, lin);
+  }
+
+  // At snapshot C: the number of periods the jump may skip, or 0 when C
+  // does not repeat B the way B repeated A.
+  long long confirmed_periods() {
+    const long long now = run.now;
+    const long long p = now - snap_b.lin[0];  // the period in cycles
+    long long periods = (config.max_cycles - now) / p;
+    if (run.fault.next < run.fault.events.size()) {
+      periods = std::min(periods,
+                         (run.fault.events[run.fault.next].cycle - now) / p);
+    }
+    bool same = true;
+    std::size_t ci = 0, li = 0;
+    // The delta of the next linear field over B->C, checked against A->B.
+    const auto delta = [&](long long x) {
+      if (!same || li == snap_b.lin.size()) {
+        same = false;
+        return 0LL;
+      }
+      const long long d = x - snap_b.lin[li];
+      same = d == snap_a.lin[li++];
+      return d;
+    };
+    visit_state(
+        [&](long long v) {
+          same = same && ci < snap_b.ctrl.size() && snap_b.ctrl[ci] == v;
+          ++ci;
+        },
+        [&](const auto& x, long long cap) {
+          const long long d = delta(x);
+          if (same && d > 0 && cap != LLONG_MAX) {
+            periods = std::min(periods, (cap - 1 - x) / d);
+          }
+        },
+        [&](const auto& x, long long slack) {
+          const long long d = delta(x);
+          same = same && (d == 0 || d == p);
+          // A stamp that stayed put expires slack + 1 cycles after it.
+          if (same && d == 0 && slack < LLONG_MAX - 1 - x) {
+            periods = std::min(periods, (x + slack + 1 - now) / p);
+          }
+        });
+    const bool aligned = ci == snap_b.ctrl.size() && li == snap_b.lin.size();
+    return same && aligned ? periods : 0;
+  }
+
+  // Skips `periods` confirmed periods: every linear field moves by that
+  // many B->C deltas (`now` and every other stamp by 0 or the period), and
+  // the observer replays the confirming period's busy-span updates once per
+  // skipped period.
+  void jump_periods(long long periods) {
+    const long long p = run.now - snap_b.lin[0];
+    std::size_t li = 0;
+    const auto shift = [&](auto& x, long long) {
+      x += periods * (x - snap_b.lin[li++]);
+    };
+    visit_state([](long long) {}, shift, shift);
+    PFAR_OBS(replay_tape(periods, p));
+    ++run.result.periodic_jumps;
+    run.result.periodic_cycles += periods * p;
+    end_probe();
+    probe_failures = 0;
+    sig_run.fill(0);
+  }
+
+  // Every field of the state at a step boundary that a period must repeat,
+  // in a fixed order whose shape depends on control values only (`now`
+  // first, as the period's length in cycles):
+  //  ctrl(v)          control: must repeat exactly;
+  //  lin(x, cap)      counters, generators and payload elements: must move
+  //                   by the same delta each period, and a growing one
+  //                   must stay below `cap` (a stream below its target);
+  //  stamp(x, slack)  cycle stamps: must stay put or move with `now`; one
+  //                   that stays put is read as a deadline `slack` + 1
+  //                   cycles later.
+  // Not visited: ring heads and slab ids (only the logical queue contents
+  // matter), the newest-event keys (valid within one cycle), and the
+  // occupancy maxima (a repeated period cannot raise them).
+  template <class Ctrl, class Lin, class Stamp>
+  void visit_state(Ctrl&& ctrl, Lin&& lin, Stamp&& stamp) {
+    constexpr long long kNone = LLONG_MAX;
+    Run& r = run;
+    SimResult& res = r.result;
+    lin(r.now, kNone);
+    stamp(r.last_progress, config.stall_limit);
+    for (std::size_t t = 0; t < r.tree_remaining.size(); ++t) {
+      const bool timed = config.progress_timeout > 0 && !r.tree_canceled[t] &&
+                         r.tree_remaining[t] > 0;
+      stamp(r.tree_progress[t], timed ? config.progress_timeout : kNone);
+      lin(r.tree_remaining[t], kNone);
+      ctrl(r.tree_canceled[t]);
+      ctrl(res.tree_first_delivery[t]);
+      ctrl(res.tree_finish_cycle[t]);
+    }
+    lin(r.delivered_total, r.total_target);
+    ctrl(r.total_target);
+    for (long long& d : r.delivered) lin(d, kNone);
+    ctrl(res.values_correct);
+    ctrl(res.dropped_packets);
+    ctrl(res.canceled_packets);
+    ctrl(static_cast<long long>(r.fault.next));
+    for (const std::int32_t dl : active_dlinks) {
+      const std::size_t d = static_cast<std::size_t>(dl);
+      ctrl(r.tokens[d]);
+      ctrl(rr[d]);
+      lin(res.link_flits[d], kNone);
+      if (!r.bg_rates.empty()) {
+        ctrl(r.bg_acc[d]);
+        lin(res.link_bg_flits[d], kNone);
       }
     }
-    if (recharge_offset != LLONG_MAX) {
-      target = std::min(target, run.now + recharge_offset);
+    if (obs != nullptr) lin(obs->credit_stalls, kNone);
+    const auto packet = [&](const Ref& ref) {
+      ctrl(ref.size);
+      std::int64_t* v = payload(ref.slab);
+      for (std::int32_t i = 0; i < ref.size; ++i) lin(v[i], kNone);
+    };
+    for (std::size_t id = 0; id < vcs.size(); ++id) {
+      const Vc& vc = vcs[id];
+      ctrl(vc.total);
+      ctrl(vc.ready);
+      ctrl(vc.credits_inflight);
+      ctrl(vc.credits);
+      ctrl(vc.poisoned);
+      ctrl(vc.canceled);
+      for (std::uint32_t k = 0; k < vc.total; ++k) packet(vslot(id, k));
     }
-    run.jump_to(run.wake_point(target, active_dlinks), active_dlinks);
+    for (Node& s : nodes) {
+      ctrl(s.ready);
+      lin(s.injected, s.target);
+      lin(s.inj_next, kNone);
+      lin(s.exp_next, kNone);
+    }
+    for (std::size_t sid = 0; sid < fcount.size(); ++sid) {
+      ctrl(fcount[sid]);
+      for (std::uint32_t k = 0; k < fcount[sid]; ++k) {
+        packet(fork_ring[fslot(sid, k)]);
+      }
+    }
+    for (std::size_t t = 0; t < rq_count.size(); ++t) {
+      ctrl(rq_count[t]);
+      for (std::uint32_t k = 0; k < rq_count[t]; ++k) {
+        packet(root_ring[qslot(t, k)]);
+      }
+    }
+    ctrl(static_cast<long long>(bcount));
+    for (std::size_t k = 0; k < bcount; ++k) {
+      Bucket& b = bucket_at(k);
+      stamp(b.cycle, -1);  // lands at its cycle
+      ctrl(static_cast<long long>(b.events.size()));
+      for (const Event& ev : b.events) {
+        ctrl(ev.vc);
+        ctrl(ev.landings);
+        ctrl(ev.credits);
+      }
+    }
+    ctrl(static_cast<long long>(bcast_list.size()));
+    for (const std::int32_t idx : bcast_list) ctrl(idx);
   }
 
   // The reference engine's quiesce contracts on the flat rings.
@@ -1707,9 +2086,8 @@ HorizonEngine::HorizonEngine(Run& r)
       nodes(r.f.state.size()),
       fcap(ring_capacity(r.config.fork_buffer, r.elements, stride)),
       fmask(fcap - 1),
-      wmask(std::bit_ceil(static_cast<std::uint32_t>(r.config.link_latency) +
-                          1u) -
-            1) {
+      buckets(16),
+      periodic(!r.fault.flaky) {
   const Fabric& f = r.f;
   const std::size_t trees = static_cast<std::size_t>(num_trees);
   const std::size_t dlinks = static_cast<std::size_t>(f.num_dlinks);
@@ -1776,7 +2154,6 @@ HorizonEngine::HorizonEngine(Run& r)
   root_ring.resize(trees * pcap);
   rq_head.assign(trees, 0);
   rq_count.assign(trees, 0);
-  wheel.resize(static_cast<std::size_t>(wmask) + 1);
   bcast_active.assign(nodes.size(), 0);
 }
 
@@ -1787,6 +2164,7 @@ template <class Engine>
 long long drive(Engine& eng) {
   Run& run = eng.run;
   while (run.delivered_total < run.total_target) {
+    ++run.result.stepped_cycles;
     run.begin_cycle(eng);
     eng.arrivals();
     eng.root_engines();
@@ -1942,6 +2320,10 @@ long long run_sharded(const graph::Graph& topology,
     result.dropped_flits += r.dropped_flits;
     result.canceled_packets += r.canceled_packets;
     result.canceled_flits += r.canceled_flits;
+    result.stepped_cycles += r.stepped_cycles;
+    result.idle_skipped_cycles += r.idle_skipped_cycles;
+    result.periodic_jumps += r.periodic_jumps;
+    result.periodic_cycles += r.periodic_cycles;
     for (std::size_t d = 0; d < r.link_flits.size(); ++d) {
       result.link_flits[d] += r.link_flits[d];
       result.link_dropped_flits[d] += r.link_dropped_flits[d];

@@ -96,6 +96,24 @@ struct SimResult {
   /// Links still down when the run ended (the set recovery must replan
   /// around), as topology edges.
   std::vector<graph::Edge> links_down;
+
+  // --- Work counters (how the engine covered the cycles) ------------------
+
+  /// Not part of the simulated outcome: they depend on the engine and on
+  /// sharding, so two runs that must be bit-identical may differ here
+  /// (expect_same_sim_result skips them). A serial cycle-engine run has
+  /// stepped_cycles + idle_skipped_cycles + periodic_cycles == cycles; a
+  /// sharded run sums each counter over its tree groups; the reference
+  /// engine steps every cycle; the flow tier leaves them zero.
+  /// Cycles the engine executed phase by phase.
+  long long stepped_cycles = 0;
+  /// Cycles the horizon engine's idle jump skipped (nothing could move).
+  long long idle_skipped_cycles = 0;
+  /// Periodic steady-state jumps the horizon engine took, and the cycles
+  /// they advanced in closed form (docs/simulation_engine.md, "Periodic
+  /// steady-state jump").
+  long long periodic_jumps = 0;
+  long long periodic_cycles = 0;
 };
 
 /// A fresh result for one run over `elements_per_tree.size()` trees and

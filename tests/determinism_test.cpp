@@ -148,6 +148,27 @@ TEST(FastForwardEngine, HugeCreditAndForkBudgetsMatchReference) {
   }
 }
 
+// Pending events form a FIFO of per-cycle buckets, so neither memory nor
+// the idle jump's search grows with the link latency: at 10^8 cycles per
+// hop the run is a few hundred steps and idle jumps.
+TEST(FastForwardEngine, HugeLinkLatencyMatchesReference) {
+  for (const int latency : {1000, 20000}) {
+    simnet::SimConfig cfg;
+    cfg.link_latency = latency;
+    cfg.stall_limit = 100LL * latency + 100000;
+    expect_identical(3, core::Solution::kLowDepth, cfg, 64);
+  }
+  simnet::SimConfig cfg;
+  cfg.link_latency = 100'000'000;
+  cfg.stall_limit = 100LL * cfg.link_latency + 100000;
+  cfg.max_cycles = 1'000'000'000;
+  const auto r = run_engine(3, core::Solution::kLowDepth, cfg, 64,
+                            simnet::SimEngine::kFastForward);
+  EXPECT_EQ(r.cycles, 800000012);
+  EXPECT_TRUE(r.values_correct);
+  EXPECT_LT(r.stepped_cycles, 1000);
+}
+
 // --- Seeded engine-differential fuzzer -------------------------------------
 
 // A run's result, or the message of the exception it threw.
